@@ -34,22 +34,35 @@ func init() {
 		return promesse(eps, trim, window), nil
 	})
 	Register("pipeline", func(p *Params) (Mechanism, error) {
-		o := DefaultOptions()
-		o.Epsilon = p.Float("epsilon", o.Epsilon)
-		o.ZoneRadius = p.Float("zone-radius", o.ZoneRadius)
-		o.ZoneWindow = p.Duration("zone-window", o.ZoneWindow)
-		o.ZoneCooldown = p.Duration("zone-cooldown", o.ZoneCooldown)
-		o.Trim = p.Float("trim", o.Trim)
-		o.Seed = p.Int64("seed", o.Seed)
-		o.DisableSwapping = p.Bool("no-swap", false)
-		o.DisableSuppression = p.Bool("no-suppress", false)
-		o.DisableSmoothing = p.Bool("no-smooth", false)
-		o.DisableZones = p.Bool("no-zones", false)
-		o.PseudonymPrefix = p.String("prefix", o.PseudonymPrefix)
-		if err := o.validate(); err != nil {
-			return nil, err
+		zones, smooth, pseudo := DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize()
+		smooth.Epsilon = p.Float("epsilon", smooth.Epsilon)
+		zones.Radius = p.Float("zone-radius", zones.Radius)
+		zones.Window = p.Duration("zone-window", zones.Window)
+		zones.Cooldown = p.Duration("zone-cooldown", zones.Cooldown)
+		smooth.Trim = p.Float("trim", smooth.Trim)
+		zones.Seed = p.Int64("seed", zones.Seed)
+		pseudo.Seed = zones.Seed
+		zones.DisableSwap = p.Bool("no-swap", false)
+		zones.DisableSuppress = p.Bool("no-suppress", false)
+		noSmooth := p.Bool("no-smooth", false)
+		noZones := p.Bool("no-zones", false)
+		pseudo.Prefix = p.String("prefix", pseudo.Prefix)
+		// Stages validate when they run; the spec is outside input, so
+		// reject a bad one at resolution time instead.
+		var stages []Stage
+		if !noZones {
+			if err := zones.validate(); err != nil {
+				return nil, err
+			}
+			stages = append(stages, zones)
 		}
-		return Pipeline(o.stages()...), nil
+		if !noSmooth {
+			if smooth.Epsilon <= 0 {
+				return nil, errors.New("epsilon must be positive")
+			}
+			stages = append(stages, smooth)
+		}
+		return Pipeline(append(stages, pseudo)...), nil
 	})
 	Register("geoi", func(p *Params) (Mechanism, error) {
 		eps := p.Float("epsilon", 0.01)
@@ -75,15 +88,19 @@ func init() {
 // the online adapter republishes every update immediately. It is also
 // per-trace-capable (AsPerTrace) for store-native runs.
 func Raw() Mechanism {
-	m := NewMechanism("raw", func(ctx context.Context, d *Dataset) (*Result, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res := &Result{Dataset: d}
-		res.AddReport(StageReport{Stage: "raw"})
-		return res, nil
-	})
-	return WithPerTrace(WithStreaming(m, streamRaw()), perTraceRaw())
+	return mechanismFunc{
+		name: "raw",
+		fn: func(ctx context.Context, d *Dataset) (*Result, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			res := &Result{Dataset: d}
+			res.AddReport(StageReport{Stage: "raw"})
+			return res, nil
+		},
+		stream:   streamRaw(),
+		perTrace: perTraceRaw(),
+	}
 }
 
 // Promesse returns the smoothing-only mechanism (the paper's PROMESSE
@@ -95,17 +112,20 @@ func Raw() Mechanism {
 func Promesse(epsilon float64) Mechanism { return promesse(epsilon, -1, 0) }
 
 func promesse(epsilon, trim, window float64) Mechanism {
-	name := fmt.Sprintf("promesse(epsilon=%g)", epsilon)
-	m := NewMechanism(name, func(ctx context.Context, d *Dataset) (*Result, error) {
-		out, rep, err := core.SmoothDatasetCtx(ctx, d, core.Config{Epsilon: epsilon, Trim: trim})
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Dataset: out}
-		res.AddReport(StageReport{Stage: "smooth", Dropped: rep.Dropped})
-		return res, nil
-	})
-	return WithPerTrace(WithStreaming(m, streamPromesse(epsilon, window)), perTracePromesse(epsilon, trim))
+	return mechanismFunc{
+		name: fmt.Sprintf("promesse(epsilon=%g)", epsilon),
+		fn: func(ctx context.Context, d *Dataset) (*Result, error) {
+			out, rep, err := core.SmoothDatasetCtx(ctx, d, core.Config{Epsilon: epsilon, Trim: trim})
+			if err != nil {
+				return nil, err
+			}
+			res := &Result{Dataset: out}
+			res.AddReport(StageReport{Stage: "smooth", Dropped: rep.Dropped})
+			return res, nil
+		},
+		stream:   streamPromesse(epsilon, window),
+		perTrace: perTracePromesse(epsilon, trim),
+	}
 }
 
 // GeoI returns the geo-indistinguishability baseline (planar Laplace
@@ -116,17 +136,20 @@ func promesse(epsilon, trim, window float64) Mechanism {
 // with byte-identical output: the online adapter derives the same
 // per-user noise streams.
 func GeoI(epsilon float64, seed int64) Mechanism {
-	name := fmt.Sprintf("geoi(epsilon=%g)", epsilon)
-	m := NewMechanism(name, func(ctx context.Context, d *Dataset) (*Result, error) {
-		out, err := geoind.PerturbDatasetCtx(ctx, d, geoind.Config{Epsilon: epsilon, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Dataset: out}
-		res.AddReport(StageReport{Stage: "geoi"})
-		return res, nil
-	})
-	return WithPerTrace(WithStreaming(m, streamGeoI(epsilon, seed)), perTraceGeoI(epsilon, seed))
+	return mechanismFunc{
+		name: fmt.Sprintf("geoi(epsilon=%g)", epsilon),
+		fn: func(ctx context.Context, d *Dataset) (*Result, error) {
+			out, err := geoind.PerturbDatasetCtx(ctx, d, geoind.Config{Epsilon: epsilon, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			res := &Result{Dataset: out}
+			res.AddReport(StageReport{Stage: "geoi"})
+			return res, nil
+		},
+		stream:   streamGeoI(epsilon, seed),
+		perTrace: perTraceGeoI(epsilon, seed),
+	}
 }
 
 // W4M returns the Wait4Me (k,δ)-anonymity baseline (Abul, Bonchi &

@@ -1,13 +1,13 @@
-// Repository-level benchmarks: one per experiment (E1..E12, the tables
-// and figure-series of the evaluation — see DESIGN.md §4) plus
+// Repository-level benchmarks: one per experiment (E1..E15, the tables
+// and figure-series of the evaluation in internal/experiment) plus
 // throughput benchmarks for the pipeline and each baseline. Regenerate
 // everything with:
 //
 //	go test -bench=. -benchmem
 //
 // The experiment benchmarks run at Quick scale so the whole suite stays
-// in CI territory; the recorded full-scale tables live in EXPERIMENTS.md
-// and are regenerated with cmd/mobibench.
+// in CI territory; the full-scale tables are regenerated with
+// cmd/mobibench.
 package mobipriv_test
 
 import (
@@ -86,15 +86,12 @@ func benchDataset(b *testing.B) *trace.Dataset {
 // reports throughput in input points per second.
 func BenchmarkPipeline(b *testing.B) {
 	d := benchDataset(b)
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	mech := mobipriv.MustFromSpec("pipeline")
 	points := float64(d.TotalPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Anonymize(d); err != nil {
+		if _, err := mech.Apply(context.Background(), d); err != nil {
 			b.Fatal(err)
 		}
 	}

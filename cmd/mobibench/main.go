@@ -1,5 +1,5 @@
 // Command mobibench regenerates the evaluation tables (experiments
-// E1..E12 from DESIGN.md §4 / EXPERIMENTS.md).
+// E1..E15 of internal/experiment; docs/CLI.md lists them).
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"math"
 	"os"
@@ -36,11 +37,7 @@ func fixture(t *testing.T) (raw, anon, stays string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Anonymize(g.Dataset)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Command mobigen generates synthetic mobility datasets with ground
 // truth, standing in for the real-life datasets of the paper's planned
-// evaluation (see DESIGN.md §2).
+// evaluation (the workload models live in internal/synth).
 //
 // Usage:
 //

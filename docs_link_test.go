@@ -2,6 +2,9 @@ package mobipriv_test
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,8 +16,10 @@ import (
 // link in README.md and docs/ must resolve to an existing file, and
 // every anchor (same-file or cross-file) to a real heading. External
 // http(s) links are only checked for well-formedness, so the test
-// needs no network and cannot flake.
+// needs no network and cannot flake. Markdown files cited in Go
+// comments must exist too (checkGoCommentRefs).
 func TestDocsLinks(t *testing.T) {
+	checkGoCommentRefs(t)
 	files := []string{"README.md"}
 	entries, err := os.ReadDir("docs")
 	if err != nil {
@@ -70,6 +75,46 @@ func TestDocsLinks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkGoCommentRefs fails on every markdown file named in a comment of
+// the root module's Go files that exists neither beside the Go file nor
+// at the repository root. Nested modules and dot directories are
+// skipped.
+func checkGoCommentRefs(t *testing.T) {
+	t.Helper()
+	mdRE := regexp.MustCompile(`[\w./-]*\w\.md\b`)
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || exists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, ref := range mdRE.FindAllString(cg.Text(), -1) {
+				if !exists(filepath.Join(filepath.Dir(path), ref)) && !exists(ref) {
+					t.Errorf("%s: comment cites %s, which does not exist", fset.Position(cg.Pos()), ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

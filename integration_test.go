@@ -1,6 +1,7 @@
 package mobipriv_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -22,11 +23,7 @@ func TestHeadlineTaxiReproduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Anonymize(g.Dataset)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +50,9 @@ func TestHeadlineTaxiReproduction(t *testing.T) {
 	}
 }
 
-// TestAnonymizerConcurrentUse verifies the documented claim that one
-// Anonymizer may serve multiple goroutines.
-func TestAnonymizerConcurrentUse(t *testing.T) {
+// TestPipelineConcurrentUse verifies the documented Mechanism contract
+// that one resolved pipeline may serve multiple goroutines.
+func TestPipelineConcurrentUse(t *testing.T) {
 	cfg := synth.DefaultCommuterConfig()
 	cfg.Users = 6
 	cfg.Sampling = 3 * time.Minute
@@ -63,7 +60,7 @@ func TestAnonymizerConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
+	mech, err := mobipriv.FromSpec("pipeline")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,7 @@ func TestAnonymizerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = a.Anonymize(g.Dataset)
+			results[i], errs[i] = mech.Apply(context.Background(), g.Dataset)
 		}(i)
 	}
 	wg.Wait()

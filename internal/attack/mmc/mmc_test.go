@@ -1,6 +1,7 @@
 package mmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -189,11 +190,7 @@ func TestReidentifyRawVsSmoothed(t *testing.T) {
 
 	// The full pipeline (swapping) is what breaks route-based matching:
 	// published traces are composites of several users' routes.
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Anonymize(test)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}

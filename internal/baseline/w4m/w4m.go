@@ -9,7 +9,7 @@
 // from at least k−1 others.
 //
 // The implementation follows the published algorithm's structure with
-// documented simplifications (see DESIGN.md):
+// these simplifications:
 //
 //  1. Synchronization: each trajectory is resampled on a common time
 //     grid (Grid step).

@@ -17,7 +17,7 @@
 //     otherwise remain identifiable as the endpoints of the published
 //     geometry.
 //
-// Time is distorted; space is almost untouched. See DESIGN.md §1.
+// Time is distorted; space is almost untouched.
 package core
 
 import (

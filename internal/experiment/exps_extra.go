@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -147,11 +148,7 @@ func runE14(s Scale) (*Table, error) {
 	}
 	table.AddRow("promesse", fmt.Sprintf("%d/%d", sm.Correct, sm.Total), fmtF(sm.Rate))
 
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	res, err := a.Anonymize(test)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), test)
 	if err != nil {
 		return nil, err
 	}

@@ -84,6 +84,6 @@ func runE10(s Scale) (*Table, error) {
 		table.AddRow(m.name, fmtI(points), elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", pps))
 	}
-	table.AddNote("single-threaded wall time; see bench_output.txt for per-operation testing.B benchmarks")
+	table.AddNote("single-threaded wall time; see bench/README.md for the end-to-end benchmark")
 	return table, nil
 }

@@ -164,8 +164,9 @@ func runE9(s Scale) (*Table, error) {
 	return table, nil
 }
 
-// runE12 is the ablation study over the design choices listed in
-// DESIGN.md §5.
+// runE12 is the ablation study over the pipeline's design choices:
+// end-trimming, zone suppression, swapping, smoothing, and the stage
+// order (see mobipriv.Pipeline).
 func runE12(s Scale) (*Table, error) {
 	g, err := commuterWorkload(s)
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package experiment implements the evaluation harness: every
-// experiment E1..E12 from DESIGN.md §4 is a named, self-contained
-// function producing a table that can be rendered to text. The cmd/
-// binaries and the repository-level benchmarks are thin wrappers around
-// this registry, so the numbers in EXPERIMENTS.md are regenerable with
-// one command.
+// experiment E1..E15 is a named, self-contained function producing a
+// table that can be rendered to text. The cmd/ binaries and the
+// repository-level benchmarks are thin wrappers around this registry,
+// so every table is regenerable with one command (cmd/mobibench).
 package experiment
 
 import (
@@ -20,8 +19,7 @@ type Scale int
 const (
 	// Quick is used by tests and benchmarks: small workloads, seconds.
 	Quick Scale = iota + 1
-	// Full is used by cmd/mobibench for the recorded results: the
-	// workload sizes documented in EXPERIMENTS.md.
+	// Full is cmd/mobibench's default: the evaluation-sized workloads.
 	Full
 )
 

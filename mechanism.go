@@ -29,17 +29,27 @@ type Mechanism interface {
 	Apply(ctx context.Context, d *Dataset) (*Result, error)
 }
 
-// mechanismFunc is the trivial Mechanism implementation used by
-// adapters and custom registrations.
+// mechanismFunc is the Mechanism implementation behind NewMechanism and
+// the built-in registrations. The built-ins also fill the optional
+// capabilities; a nil field means the mechanism lacks that capability.
 type mechanismFunc struct {
-	name string
-	fn   func(context.Context, *Dataset) (*Result, error)
+	name     string
+	fn       func(context.Context, *Dataset) (*Result, error)
+	stream   StreamFactory
+	perTrace PerTraceFunc
 }
 
 func (m mechanismFunc) Name() string { return m.name }
 func (m mechanismFunc) Apply(ctx context.Context, d *Dataset) (*Result, error) {
 	return m.fn(ctx, d)
 }
+
+// Streaming implements Streamer; nil when the mechanism is batch-only.
+func (m mechanismFunc) Streaming() StreamFactory { return m.stream }
+
+// PerTrace implements PerTracer; nil when the mechanism needs the whole
+// dataset.
+func (m mechanismFunc) PerTrace() PerTraceFunc { return m.perTrace }
 
 // NewMechanism wraps an apply function as a Mechanism, for callers
 // registering custom mechanisms with Register.
@@ -56,9 +66,14 @@ type named struct {
 
 func (n named) Name() string { return n.name }
 
-// Unwrap exposes the wrapped mechanism so capability probes (notably
-// AsStreaming) can see through the spec-normalization layer.
-func (n named) Unwrap() Mechanism { return n.Mechanism }
+// unnamed strips the name layer FromSpec adds, so capability probes see
+// the mechanism the factory built.
+func unnamed(m Mechanism) Mechanism {
+	if n, ok := m.(named); ok {
+		return n.Mechanism
+	}
+	return m
+}
 
 // StageReport describes what one pipeline stage (or one single-stage
 // mechanism) did to the dataset flowing through it.

@@ -59,10 +59,8 @@
 //		mobipriv.DefaultPseudonymize(),
 //	)
 //
-// The legacy constructor mobipriv.New(Options) remains as a thin shim
-// over the same pipeline. (The paper's Figure 1 presents smoothing
-// first; see DESIGN.md §5.1 for why the operational order detects
-// meetings before distorting time.)
+// The paper's Figure 1 presents smoothing first; Pipeline's doc explains
+// why the operational order detects meetings before distorting time.
 //
 // The sub-packages under internal/ contain the substrates (trajectory
 // model, geodesy, synthetic workloads, attacks, baselines, metrics) used
@@ -70,9 +68,6 @@
 package mobipriv
 
 import (
-	"context"
-
-	"mobipriv/internal/core"
 	"mobipriv/internal/trace"
 )
 
@@ -91,58 +86,3 @@ func NewDataset(traces []*Trace) (*Dataset, error) { return trace.NewDataset(tra
 
 // NewTrace builds a validated, time-sorted trace.
 func NewTrace(user string, pts []Point) (*Trace, error) { return trace.New(user, pts) }
-
-// Anonymizer is the legacy entry point to the paper's pipeline, kept as
-// a thin shim over Pipeline(Options.stages()...). It is immutable and
-// safe for concurrent use by multiple goroutines (each Anonymize call
-// is self-contained).
-type Anonymizer struct {
-	opts Options
-	mech Mechanism
-}
-
-// New validates the options and returns an Anonymizer.
-func New(opts Options) (*Anonymizer, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return &Anonymizer{opts: opts, mech: Pipeline(opts.stages()...)}, nil
-}
-
-// Mechanism exposes the pipeline behind this Anonymizer, for callers
-// migrating to the Mechanism API (Runner, registries).
-func (a *Anonymizer) Mechanism() Mechanism { return a.mech }
-
-// Anonymize runs the pipeline on d and returns the published dataset
-// plus ground-truth metadata. The input dataset is not modified.
-//
-// Ordering note (DESIGN.md §5): mix-zones are detected and applied on
-// the ORIGINAL timing, and speed smoothing runs afterwards on the
-// swapped composite traces. The paper's Figure 1 presents the stages in
-// the opposite order, but detection must see real simultaneity — after
-// time distortion, users who met in reality no longer co-occur in
-// published time, and the zone supply collapses (measured in E12).
-// Swapping first and smoothing second also erases the swap seams: each
-// published trace is a single constant-speed journey with no visible
-// suture inside the zone.
-func (a *Anonymizer) Anonymize(d *Dataset) (*Result, error) {
-	return a.mech.Apply(context.Background(), d)
-}
-
-// AnonymizeContext is Anonymize honoring context cancellation and the
-// Runner worker budget.
-func (a *Anonymizer) AnonymizeContext(ctx context.Context, d *Dataset) (*Result, error) {
-	return a.mech.Apply(ctx, d)
-}
-
-// SmoothOnly applies only the speed-smoothing step with the given
-// spacing (meters) and default trimming — the minimal API for callers
-// who publish single-user data and cannot benefit from swapping.
-// Equivalent to applying the Promesse mechanism.
-func SmoothOnly(d *Dataset, epsilon float64) (*Dataset, []string, error) {
-	out, rep, err := core.SmoothDataset(d, core.Config{Epsilon: epsilon, Trim: -1})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep.Dropped, nil
-}

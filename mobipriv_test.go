@@ -1,6 +1,7 @@
 package mobipriv
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -24,11 +25,8 @@ func commuterData(t testing.TB, users int) *synth.Generated {
 
 func TestAnonymizeEndToEnd(t *testing.T) {
 	g := commuterData(t, 12)
-	anon, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anon.Anonymize(g.Dataset)
+	anon := MustFromSpec("pipeline")
+	res, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +50,8 @@ func TestAnonymizeEndToEnd(t *testing.T) {
 
 func TestAnonymizeHidesPOIs(t *testing.T) {
 	g := commuterData(t, 12)
-	anon, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anon.Anonymize(g.Dataset)
+	anon := MustFromSpec("pipeline")
+	res, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +73,8 @@ func TestAnonymizeHidesPOIs(t *testing.T) {
 
 func TestAnonymizeGroundTruth(t *testing.T) {
 	g := commuterData(t, 10)
-	anon, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anon.Anonymize(g.Dataset)
+	anon := MustFromSpec("pipeline")
+	res, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +107,17 @@ func TestAnonymizeGroundTruth(t *testing.T) {
 
 func TestAnonymizeDeterministic(t *testing.T) {
 	g := commuterData(t, 8)
-	anon, err := New(DefaultOptions())
+	anon := MustFromSpec("pipeline")
+	r1, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := anon.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := anon.Anonymize(g.Dataset)
+	r2, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Dataset.TotalPoints() != r2.Dataset.TotalPoints() || r1.Zones() != r2.Zones() || r1.Swaps() != r2.Swaps() {
-		t.Fatal("same options + same input must give identical results")
+		t.Fatal("same spec + same input must give identical results")
 	}
 	u1, u2 := r1.Dataset.Users(), r2.Dataset.Users()
 	for i := range u1 {
@@ -141,41 +130,23 @@ func TestAnonymizeDeterministic(t *testing.T) {
 func TestAnonymizeAblations(t *testing.T) {
 	g := commuterData(t, 10)
 
-	noSwap := DefaultOptions()
-	noSwap.DisableSwapping = true
-	a1, err := New(noSwap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := a1.Anonymize(g.Dataset)
+	r1, err := MustFromSpec("pipeline(no-swap=true)").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Swaps() != 0 {
-		t.Errorf("DisableSwapping: %d swaps", r1.Swaps())
+		t.Errorf("no-swap: %d swaps", r1.Swaps())
 	}
 
-	noSupp := DefaultOptions()
-	noSupp.DisableSuppression = true
-	a2, err := New(noSupp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := a2.Anonymize(g.Dataset)
+	r2, err := MustFromSpec("pipeline(no-suppress=true)").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.SuppressedPoints() != 0 {
-		t.Errorf("DisableSuppression: %d suppressed", r2.SuppressedPoints())
+		t.Errorf("no-suppress: %d suppressed", r2.SuppressedPoints())
 	}
 
-	noSmooth := DefaultOptions()
-	noSmooth.DisableSmoothing = true
-	a3, err := New(noSmooth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := a3.Anonymize(g.Dataset)
+	r3, err := MustFromSpec("pipeline(no-smooth=true)").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,44 +157,6 @@ func TestAnonymizeAblations(t *testing.T) {
 	}
 	if after.Global.F1 < 0.5 {
 		t.Errorf("smoothing disabled but POIs hidden anyway (F1=%v): ablation not effective", after.Global.F1)
-	}
-}
-
-func TestOptionsValidation(t *testing.T) {
-	bad := []Options{
-		{Epsilon: 0, ZoneRadius: 100, ZoneWindow: time.Minute},
-		{Epsilon: 100, ZoneRadius: 0, ZoneWindow: time.Minute},
-		{Epsilon: 100, ZoneRadius: 100, ZoneWindow: 0},
-		{Epsilon: 100, ZoneRadius: 100, ZoneWindow: time.Minute, ZoneCooldown: -1},
-	}
-	for i, o := range bad {
-		if _, err := New(o); err == nil {
-			t.Errorf("case %d: invalid options accepted", i)
-		}
-	}
-	// DisableSmoothing makes Epsilon irrelevant.
-	ok := DefaultOptions()
-	ok.Epsilon = 0
-	ok.DisableSmoothing = true
-	if _, err := New(ok); err != nil {
-		t.Errorf("DisableSmoothing with Epsilon=0 rejected: %v", err)
-	}
-}
-
-func TestSmoothOnly(t *testing.T) {
-	g := commuterData(t, 5)
-	out, dropped, err := SmoothOnly(g.Dataset, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len()+len(dropped) != g.Dataset.Len() {
-		t.Fatalf("out %d + dropped %d != in %d", out.Len(), len(dropped), g.Dataset.Len())
-	}
-	// Identities preserved by SmoothOnly.
-	for _, u := range out.Users() {
-		if g.Dataset.ByUser(u) == nil {
-			t.Errorf("unknown user %q in smoothed output", u)
-		}
 	}
 }
 

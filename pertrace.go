@@ -17,70 +17,30 @@ import (
 // the capability.
 type PerTraceFunc func(ctx context.Context, tr *Trace) (*Trace, error)
 
-// PerTracer is the optional capability a Mechanism grows when each
-// trace can be anonymized in isolation: PerTrace returns the function
-// the store-native Runner path (Runner.RunStore) fans across its worker
-// pool. Resolve it with AsPerTrace, which sees through the wrappers
-// FromSpec applies.
+// PerTracer is the optional capability a Mechanism has when each trace
+// can be anonymized in isolation: PerTrace returns the function the
+// store-native Runner path (Runner.RunStore) fans across its worker
+// pool, or nil when this configuration is not trace-independent (e.g. a
+// pipeline containing the mix-zone stage). Resolve it with AsPerTrace,
+// which sees through the name layer FromSpec adds.
 type PerTracer interface {
 	Mechanism
 	PerTrace() PerTraceFunc
 }
 
 // AsPerTrace reports whether the mechanism can run trace-by-trace and
-// returns its per-trace function. It unwraps the name-normalization and
-// capability layers added by FromSpec and WithStreaming, so specs like
-// "geoi(0.01)" or "promesse(epsilon=200)" resolve to their per-trace
-// forms.
+// returns its per-trace function, so specs like "geoi(0.01)" or
+// "promesse(epsilon=200)" resolve to their per-trace forms.
 func AsPerTrace(m Mechanism) (PerTraceFunc, bool) {
-	for m != nil {
-		// A nil PerTrace means "not in this configuration" (e.g. a
-		// pipeline containing the mix-zone stage): keep unwrapping.
-		if p, ok := m.(PerTracer); ok {
-			if fn := p.PerTrace(); fn != nil {
-				return fn, true
-			}
-		}
-		u, ok := m.(interface{ Unwrap() Mechanism })
-		if !ok {
-			return nil, false
-		}
-		m = u.Unwrap()
+	p, ok := unnamed(m).(PerTracer)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	fn := p.PerTrace()
+	return fn, fn != nil
 }
 
 // PerTraceMechanisms returns the sorted names of registered mechanisms
 // whose default spec resolves to a per-trace-capable mechanism — the
 // ones eligible for store-native runs.
-func PerTraceMechanisms() []string {
-	var out []string
-	for _, name := range Mechanisms() {
-		m, err := FromSpec(name)
-		if err != nil {
-			continue
-		}
-		if _, ok := AsPerTrace(m); ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// WithPerTrace attaches a per-trace capability to a mechanism; used by
-// the built-in registrations and available to custom ones. The function
-// must satisfy the PerTraceFunc equivalence contract with m.Apply.
-func WithPerTrace(m Mechanism, fn PerTraceFunc) Mechanism {
-	return perTraced{Mechanism: m, fn: fn}
-}
-
-type perTraced struct {
-	Mechanism
-	fn PerTraceFunc
-}
-
-func (p perTraced) PerTrace() PerTraceFunc { return p.fn }
-
-// Unwrap lets the other capability probes (AsStreaming) see through
-// this layer.
-func (p perTraced) Unwrap() Mechanism { return p.Mechanism }
+func PerTraceMechanisms() []string { return registeredWith(AsPerTrace) }

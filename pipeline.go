@@ -31,6 +31,16 @@ type Stage interface {
 //	Pipeline(DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize())
 //
 // but any subset, ordering, or custom Stage composes the same way.
+//
+// Ordering note: mix-zones are detected and applied on the ORIGINAL
+// timing, and speed smoothing runs afterwards on the swapped composite
+// traces. The paper's Figure 1 presents the stages in the opposite
+// order, but detection must see real simultaneity — after time
+// distortion, users who met in reality no longer co-occur in published
+// time, and the zone supply collapses (measured in E12). Swapping first
+// and smoothing second also erases the swap seams: each published trace
+// is a single constant-speed journey with no visible suture inside the
+// zone.
 func Pipeline(stages ...Stage) Mechanism {
 	return pipelineMechanism{name: "pipeline", stages: stages}
 }
@@ -98,16 +108,22 @@ func DefaultMixZoneSwap() MixZoneSwap {
 // StageName implements Stage.
 func (s MixZoneSwap) StageName() string { return "mixzones" }
 
+func (s MixZoneSwap) validate() error {
+	switch {
+	case s.Radius <= 0:
+		return errors.New("Radius must be positive")
+	case s.Window <= 0:
+		return errors.New("Window must be positive")
+	case s.Cooldown < 0:
+		return errors.New("Cooldown must be non-negative")
+	}
+	return nil
+}
+
 // Run implements Stage.
 func (s MixZoneSwap) Run(ctx context.Context, d *Dataset, res *Result) (*Dataset, error) {
-	if s.Radius <= 0 {
-		return nil, errors.New("Radius must be positive")
-	}
-	if s.Window <= 0 {
-		return nil, errors.New("Window must be positive")
-	}
-	if s.Cooldown < 0 {
-		return nil, errors.New("Cooldown must be non-negative")
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	mz, err := mixzone.Apply(d, mixzone.Config{
 		Radius:         s.Radius,
@@ -266,12 +282,7 @@ func (s Pseudonymize) PerTrace() PerTraceFunc {
 	if s.Prefix != "" {
 		return nil
 	}
-	return func(ctx context.Context, tr *Trace) (*Trace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
+	return perTraceRaw()
 }
 
 // PerTrace composes the stages' per-trace forms, or returns nil when

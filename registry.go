@@ -57,6 +57,20 @@ func Mechanisms() []string {
 	return out
 }
 
+// registeredWith returns the sorted names of registered mechanisms whose
+// default spec passes the capability probe.
+func registeredWith[T any](probe func(Mechanism) (T, bool)) []string {
+	var out []string
+	for _, name := range Mechanisms() {
+		if m, err := FromSpec(name); err == nil {
+			if _, ok := probe(m); ok {
+				out = append(out, name)
+			}
+		}
+	}
+	return out
+}
+
 // FromSpec resolves a mechanism spec of the form
 //
 //	name

@@ -26,6 +26,8 @@ func TestFromSpecValid(t *testing.T) {
 		{"pipeline", "pipeline"},
 		{"pipeline(epsilon=150,zone-radius=50,seed=7)", "pipeline(epsilon=150,zone-radius=50,seed=7)"},
 		{"pipeline(no-swap=true)", "pipeline(no-swap=true)"},
+		{"pipeline(epsilon=0,no-smooth=true)", "pipeline(epsilon=0,no-smooth=true)"}, // no smoothing: epsilon unused
+		{"pipeline(zone-radius=0,no-zones=true)", "pipeline(zone-radius=0,no-zones=true)"},
 		{"geoi", "geoi"},
 		{"geoi(0.01)", "geoi(0.01)"},
 		{"geoi(epsilon=0.05,seed=3)", "geoi(epsilon=0.05,seed=3)"},
@@ -62,12 +64,17 @@ func TestFromSpecInvalid(t *testing.T) {
 		"w4m(k=four)",               // bad int
 		"w4m(k=4,k=5)",              // duplicate key
 		"geoi(0.01,0.02)",           // too many positionals
-		"pipeline(epsilon=0)",       // fails Options validation
+		"pipeline(epsilon=0)",       // non-positive smoothing spacing
 		"pipeline(zone-window=wat)", // bad duration
 		"promesse(epsilon=100",      // missing closing paren
 		"pro messe",                 // invalid name
 		"promesse(=5)",              // key-less parameter
 		"geoi(epsilon=0.01,0.02)",   // positional after named
+
+		// Invalid mix-zone stages are rejected at resolution time.
+		"pipeline(zone-radius=0)",
+		"pipeline(zone-window=0s)",
+		"pipeline(zone-cooldown=-1)",
 	}
 	for _, spec := range cases {
 		if _, err := FromSpec(spec); err == nil {
@@ -250,11 +257,7 @@ func TestLineupMatchesHandWired(t *testing.T) {
 			return out, err
 		},
 		"pipeline": func() (*trace.Dataset, error) {
-			a, err := New(DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			res, err := a.Anonymize(d)
+			res, err := Pipeline(DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize()).Apply(ctx, d)
 			if err != nil {
 				return nil, err
 			}

@@ -51,18 +51,15 @@ func TestParallelGeoIDeterministic(t *testing.T) {
 }
 
 // TestParallelPipelineDeterministic runs the full pipeline under the
-// Runner and checks it matches the plain Anonymizer path.
+// Runner and checks it matches a plain Apply.
 func TestParallelPipelineDeterministic(t *testing.T) {
 	d := commuterData(t, 12).Dataset
-	a, err := New(DefaultOptions())
+	mech := MustFromSpec("pipeline")
+	want, err := mech.Apply(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := a.Anonymize(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewRunner(WithWorkers(runtime.NumCPU())).Run(context.Background(), a.Mechanism(), d)
+	got, err := NewRunner(WithWorkers(runtime.NumCPU())).Run(context.Background(), mech, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +163,7 @@ func TestPipelineInvalidStageConfig(t *testing.T) {
 // maps stay consistent (the reverse map replaced a linear scan).
 func TestResultPseudonymRoundTrip(t *testing.T) {
 	g := commuterData(t, 10)
-	a, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Anonymize(g.Dataset)
+	res, err := MustFromSpec("pipeline").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}

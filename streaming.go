@@ -20,65 +20,31 @@ type StreamMechanism interface {
 // be safe for concurrent use.
 type StreamFactory func(user string) StreamMechanism
 
-// Streamer is the optional capability a Mechanism grows when it can run
+// Streamer is the optional capability a Mechanism has when it can run
 // online: Streaming returns the factory producing its per-user
-// streaming adapters. Resolve it with AsStreaming, which sees through
-// the wrappers FromSpec applies.
+// streaming adapters, or nil when this configuration cannot stream.
+// Resolve it with AsStreaming, which sees through the name layer
+// FromSpec adds.
 type Streamer interface {
 	Mechanism
 	Streaming() StreamFactory
 }
 
 // AsStreaming reports whether the mechanism can run online and returns
-// its per-user factory. It unwraps the name-normalization layers added
-// by FromSpec, so specs like "geoi(0.01)" or "promesse(epsilon=200)"
-// resolve to their streaming adapters.
+// its per-user factory, so specs like "geoi(0.01)" or
+// "promesse(epsilon=200)" resolve to their streaming adapters.
 func AsStreaming(m Mechanism) (StreamFactory, bool) {
-	for m != nil {
-		if s, ok := m.(Streamer); ok {
-			return s.Streaming(), true
-		}
-		u, ok := m.(interface{ Unwrap() Mechanism })
-		if !ok {
-			return nil, false
-		}
-		m = u.Unwrap()
+	s, ok := unnamed(m).(Streamer)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	f := s.Streaming()
+	return f, f != nil
 }
 
 // StreamingMechanisms returns the sorted names of registered mechanisms
 // whose default spec resolves to a streaming-capable mechanism.
-func StreamingMechanisms() []string {
-	var out []string
-	for _, name := range Mechanisms() {
-		m, err := FromSpec(name)
-		if err != nil {
-			continue
-		}
-		if _, ok := AsStreaming(m); ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// WithStreaming attaches a streaming capability to a mechanism; used by
-// the built-in registrations and available to custom ones.
-func WithStreaming(m Mechanism, f StreamFactory) Mechanism {
-	return streamable{Mechanism: m, factory: f}
-}
-
-type streamable struct {
-	Mechanism
-	factory StreamFactory
-}
-
-func (s streamable) Streaming() StreamFactory { return s.factory }
-
-// Unwrap lets the other capability probes (AsPerTrace) see through
-// this layer.
-func (s streamable) Unwrap() Mechanism { return s.Mechanism }
+func StreamingMechanisms() []string { return registeredWith(AsStreaming) }
 
 // The built-in streaming factories bridge to the internal adapters. The
 // internal stream.Mechanism interface is structurally identical to
@@ -100,13 +66,4 @@ func streamGeoI(epsilon float64, seed int64) StreamFactory {
 	// back gets a fresh noise stream instead of replaying the first one.
 	f := stream.GeoI{Epsilon: epsilon, Seed: seed}.Factory()
 	return func(user string) StreamMechanism { return f(user) }
-}
-
-// StreamPseudonymize returns the online pseudonymizer factory: points
-// pass through unchanged while the stream is published under a
-// deterministic per-(seed, user) pseudonym. Compose it with another
-// streaming mechanism in the serving layer (cmd/mobiserve -pseudonym).
-func StreamPseudonymize(prefix string, seed int64) StreamFactory {
-	c := stream.Pseudonymize{Prefix: prefix, Seed: seed}
-	return func(user string) StreamMechanism { return c.New(user) }
 }

@@ -187,22 +187,6 @@ func TestStreamingCapabilityResolution(t *testing.T) {
 	}
 }
 
-// TestStreamPseudonymizeFactory exercises the public pseudonymizer
-// factory end to end.
-func TestStreamPseudonymizeFactory(t *testing.T) {
-	f := StreamPseudonymize("p", 1)
-	sm := f("alice")
-	p := Point{Point: geo.Point{Lat: 45.76, Lng: 4.83}, Time: time.Unix(0, 0)}
-	out := sm.Push(p)
-	if len(out) != 1 || !out[0].Point.Equal(p.Point) {
-		t.Fatalf("pseudonymizer altered points: %v", out)
-	}
-	r, ok := interface{}(sm).(interface{ OutUser(string) string })
-	if !ok || r.OutUser("alice") == "alice" {
-		t.Fatal("pseudonymizer does not relabel")
-	}
-}
-
 // TestStreamingPromesseBoundedMemory checks the windowed smoother holds
 // back at most ~Window/Epsilon samples however long the trace runs —
 // the bounded-memory property the online subsystem exists for.
