@@ -33,14 +33,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"mobipriv/internal/router"
+	"mobipriv/internal/serve"
 )
 
 func main() {
@@ -83,21 +81,7 @@ func run(args []string) error {
 	if err := rt.Check(context.Background()); err != nil {
 		log.Printf("mobirouter: fleet not healthy yet: %v", err)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler()}
-	go func() {
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(sctx)
-	}()
 	log.Printf("mobirouter: %d nodes (%s) on %s endpoints: POST /ingest, POST /flush, GET /stats, GET /metrics, GET /healthz",
 		len(rt.Nodes()), strings.Join(rt.Nodes(), " "), *addr)
-	err = hs.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
-	}
-	return err
+	return serve.ListenAndServe(*addr, rt.Handler(), nil)
 }

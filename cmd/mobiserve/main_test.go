@@ -5,105 +5,45 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
-	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"mobipriv"
 	"mobipriv/internal/risk"
+	"mobipriv/internal/serve"
+	"mobipriv/internal/serve/servetest"
+	"mobipriv/internal/serve/worker"
 	"mobipriv/internal/store"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
 	"mobipriv/internal/traceio"
 )
 
-// startServer builds a server around the config, runs its engine, and
-// returns an httptest server plus a shutdown function.
-func startServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server, func()) {
-	t.Helper()
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.eng.Run(context.Background()) }()
-	hs := httptest.NewServer(srv.handler())
-	stop := func() {
-		hs.Close()
-		srv.eng.Close()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	return srv, hs, stop
-}
-
-func testDataset(t *testing.T, users int) *trace.Dataset {
-	t.Helper()
-	cfg := synth.DefaultCommuterConfig()
-	cfg.Users = users
-	cfg.Sampling = 2 * time.Minute
-	g, err := synth.Commuters(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g.Dataset
-}
-
-func postNDJSON(t *testing.T, url string, d *trace.Dataset) int {
-	t.Helper()
-	var body bytes.Buffer
-	if err := traceio.WriteJSONL(&body, d); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/ingest", "application/x-ndjson", &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-	var out struct {
-		Accepted int `json:"accepted"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Accepted
-}
-
-func postFlush(t *testing.T, url string) {
-	t.Helper()
-	resp, err := http.Post(url+"/flush", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("flush status %d", resp.StatusCode)
-	}
-}
-
 // TestServeGeoIEquivalence is the serving-path half of the
 // replay-equivalence acceptance: NDJSON in over HTTP, flush, and the
 // sink file matches the batch mechanism byte for byte.
 func TestServeGeoIEquivalence(t *testing.T) {
-	d := testDataset(t, 6)
-	var sink bytes.Buffer
-	srv, hs, stop := startServer(t, serverConfig{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4})
-	defer stop()
-	srv.sinkFile = &sink // safe: set before any ingest
+	d := servetest.Dataset(t, 6)
+	sink := filepath.Join(t.TempDir(), "sink.jsonl")
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4, Sink: sink})
 
-	if got := postNDJSON(t, hs.URL, d); got != d.TotalPoints() {
+	if got := servetest.PostNDJSON(t, hs.URL, d); got != d.TotalPoints() {
 		t.Fatalf("accepted %d points, want %d", got, d.TotalPoints())
 	}
-	postFlush(t, hs.URL)
+	servetest.PostFlush(t, hs.URL)
 
-	got, err := traceio.ReadJSONL(&sink)
+	f, err := os.Open(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := traceio.ReadJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +70,8 @@ func TestServeGeoIEquivalence(t *testing.T) {
 }
 
 func TestServeCSVIngestAndStats(t *testing.T) {
-	d := testDataset(t, 3)
-	_, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 2})
-	defer stop()
+	d := servetest.Dataset(t, 3)
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 2})
 	var body bytes.Buffer
 	if err := traceio.WriteCSV(&body, d); err != nil {
 		t.Fatal(err)
@@ -145,14 +84,14 @@ func TestServeCSVIngestAndStats(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("csv ingest status %d", resp.StatusCode)
 	}
-	postFlush(t, hs.URL)
+	servetest.PostFlush(t, hs.URL)
 
 	resp, err = http.Get(hs.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st serve.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +106,8 @@ func TestServeCSVIngestAndStats(t *testing.T) {
 // TestServeOutStreams subscribes to /out before ingesting and reads the
 // anonymized stream live.
 func TestServeOutStreams(t *testing.T) {
-	d := testDataset(t, 2)
-	_, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 1, Pseudonym: "p", Seed: 1})
-	defer stop()
+	d := servetest.Dataset(t, 2)
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 1, Pseudonym: "p", Seed: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -180,8 +118,8 @@ func TestServeOutStreams(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	postNDJSON(t, hs.URL, d)
-	postFlush(t, hs.URL)
+	servetest.PostNDJSON(t, hs.URL, d)
+	servetest.PostFlush(t, hs.URL)
 
 	sc := bufio.NewScanner(resp.Body)
 	seen := 0
@@ -203,25 +141,120 @@ func TestServeOutStreams(t *testing.T) {
 	}
 }
 
-// TestServeStoreSink streams through the engine into a native store
-// sink and checks the finalized store holds exactly the served points —
-// the loop that lets batch tools read what the service wrote.
-func TestServeStoreSink(t *testing.T) {
-	d := testDataset(t, 4)
-	srv, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 3})
-	path := filepath.Join(t.TempDir(), "sink.mstore")
-	sw, err := store.Create(path, store.Options{Shards: 2, BlockPoints: 16})
+// TestShutdownEndsOutStreams pins what a graceful stop does to a live
+// GET /out subscriber: its stream ends as soon as shutdown begins, so it
+// does not hold up the wait for in-flight requests, and the points the
+// drain flushes reach the sink but not the already-ended stream.
+func TestShutdownEndsOutStreams(t *testing.T) {
+	d := servetest.Dataset(t, 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.sinkStore = sw // safe: set before any ingest
-
-	postNDJSON(t, hs.URL, d)
-	postFlush(t, hs.URL)
-	stop()
-	if err := sw.Close(); err != nil {
+	hostport := ln.Addr().String()
+	addr := "http://" + hostport
+	ln.Close()
+	sink := filepath.Join(t.TempDir(), "sink.jsonl")
+	// promesse withholds each user's trailing points until a flush, so
+	// the drain has points to flush.
+	srv, err := worker.New(worker.Config{Spec: "promesse", Shards: 2, Sink: sink})
+	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan error, 1)
+	go func() { done <- serve.ListenAndServe(hostport, srv.Handler(), srv.Close) }()
+	for {
+		resp, err := http.Get(addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	resp, err := http.Get(addr + "/out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streamed := make(chan int, 1)
+	go func() {
+		n := 0
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			n++
+		}
+		streamed <- n
+	}()
+	if accepted := servetest.PostNDJSON(t, addr, d); accepted != d.TotalPoints() {
+		t.Fatalf("accepted %d points, want %d", accepted, d.TotalPoints())
+	}
+
+	start := time.Now()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ListenAndServe = %v", err)
+	}
+	// Shutdown gives in-flight requests 5 s; a stream that held it up
+	// would cost all of them.
+	if took := time.Since(start); took > 3*time.Second {
+		t.Errorf("shutdown took %v with an /out subscriber connected", took)
+	}
+	var n int
+	select {
+	case n = <-streamed:
+	case <-time.After(time.Second):
+		t.Fatal("/out stream still open after shutdown")
+	}
+
+	f, err := os.Open(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := traceio.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Smoothing changes the point count, so the engine's own output
+	// total is the reference; the engine is closed, so it is final.
+	out := int(srv.Stats().Out)
+	if got.TotalPoints() != out {
+		t.Errorf("sink holds %d points after the drain, want all %d published", got.TotalPoints(), out)
+	}
+	if n >= out {
+		t.Errorf("/out streamed %d points, want fewer than the %d the drain completed", n, out)
+	}
+}
+
+// TestServeStoreSink streams through the engine into a native store
+// sink and checks the finalized store holds exactly the served points —
+// the loop that lets batch tools read what the service wrote. Every user
+// has more points than a default store block (4096) holds, so blocks
+// are cut inside Append, under the sink lock, while ingest is running,
+// and each user is read back across several blocks.
+func TestServeStoreSink(t *testing.T) {
+	cfg := synth.DefaultCommuterConfig()
+	cfg.Users = 4
+	cfg.Sampling = 10 * time.Second
+	g, err := synth.Commuters(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Dataset
+	for _, tr := range d.Traces() {
+		if tr.Len() <= 4096 {
+			t.Fatalf("user %s has %d points; the test needs more than one default block per user", tr.User, tr.Len())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "sink.mstore")
+	_, hs, stop := servetest.Start(t, worker.Config{Spec: "raw", Shards: 3, Sink: path, SinkFresh: true})
+
+	servetest.PostNDJSON(t, hs.URL, d)
+	servetest.PostFlush(t, hs.URL)
+	stop() // commits the sink
 
 	s, err := store.Open(path)
 	if err != nil {
@@ -257,14 +290,14 @@ func TestServeStoreSink(t *testing.T) {
 	}
 }
 
-func getStats(t *testing.T, url string) statsResponse {
+func getStats(t *testing.T, url string) serve.StatsResponse {
 	t.Helper()
 	resp, err := http.Get(url + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st serve.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +311,7 @@ func getStats(t *testing.T, url string) statsResponse {
 // the union — each lifecycle's /stats point count summing to the
 // store's total.
 func TestSinkReopenAcrossRestart(t *testing.T) {
-	d := testDataset(t, 6)
+	d := servetest.Dataset(t, 6)
 	all := d.Traces()
 	d1, err := trace.NewDataset(all[:3])
 	if err != nil {
@@ -291,35 +324,24 @@ func TestSinkReopenAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sink.mstore")
 
 	// Lifecycle 1: -sink-fresh, the path must not exist yet.
-	srv1, hs1, stop1 := startServer(t, serverConfig{Spec: "raw", Shards: 3})
-	if err := srv1.attachStoreSink(path, true); err != nil {
-		t.Fatal(err)
-	}
-	postNDJSON(t, hs1.URL, d1)
-	postFlush(t, hs1.URL)
+	_, hs1, stop1 := servetest.Start(t, worker.Config{Spec: "raw", Shards: 3, Sink: path, SinkFresh: true})
+	servetest.PostNDJSON(t, hs1.URL, d1)
+	servetest.PostFlush(t, hs1.URL)
 	st1 := getStats(t, hs1.URL)
 	if st1.SinkPoints != uint64(d1.TotalPoints()) {
 		t.Fatalf("lifecycle 1 sink_store_points = %d, want %d", st1.SinkPoints, d1.TotalPoints())
 	}
 	stop1()
-	if err := srv1.sinkStore.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// -sink-fresh over an existing store must refuse, not overwrite.
-	srvRefuse, _, stopRefuse := startServer(t, serverConfig{Spec: "raw", Shards: 1})
-	if err := srvRefuse.attachStoreSink(path, true); err == nil || !strings.Contains(err.Error(), "exists") {
-		t.Fatalf("fresh attach over existing store: err = %v, want ErrExists", err)
+	if _, err := worker.New(worker.Config{Spec: "raw", Shards: 1, Sink: path, SinkFresh: true}); err == nil || !strings.Contains(err.Error(), "exists") {
+		t.Fatalf("fresh sink over existing store: err = %v, want ErrExists", err)
 	}
-	stopRefuse()
 
 	// Lifecycle 2: default reopen-for-append extends the same store.
-	srv2, hs2, stop2 := startServer(t, serverConfig{Spec: "raw", Shards: 3})
-	if err := srv2.attachStoreSink(path, false); err != nil {
-		t.Fatalf("reopen for append: %v", err)
-	}
-	postNDJSON(t, hs2.URL, d2)
-	postFlush(t, hs2.URL)
+	_, hs2, stop2 := servetest.Start(t, worker.Config{Spec: "raw", Shards: 3, Sink: path})
+	servetest.PostNDJSON(t, hs2.URL, d2)
+	servetest.PostFlush(t, hs2.URL)
 	st2 := getStats(t, hs2.URL)
 	if st2.SinkPoints != uint64(d2.TotalPoints()) {
 		t.Fatalf("lifecycle 2 sink_store_points = %d, want %d", st2.SinkPoints, d2.TotalPoints())
@@ -343,9 +365,6 @@ func TestSinkReopenAcrossRestart(t *testing.T) {
 		}
 	}
 	stop2()
-	if err := srv2.sinkStore.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// The finalized store holds both lifecycles' output, and the per-
 	// lifecycle /stats counts sum to its total.
@@ -376,18 +395,17 @@ func TestSinkReopenAcrossRestart(t *testing.T) {
 }
 
 func TestServeRejectsNonStreamingSpec(t *testing.T) {
-	_, err := newServer(serverConfig{Spec: "pipeline"})
+	_, err := worker.New(worker.Config{Spec: "pipeline"})
 	if err == nil || !strings.Contains(err.Error(), "streaming-capable") {
 		t.Fatalf("err = %v, want streaming-capable listing", err)
 	}
-	if _, err := newServer(serverConfig{Spec: "nope"}); err == nil {
+	if _, err := worker.New(worker.Config{Spec: "nope"}); err == nil {
 		t.Fatal("unknown spec accepted")
 	}
 }
 
 func TestServeBadIngest(t *testing.T) {
-	_, hs, stop := startServer(t, serverConfig{Spec: "raw"})
-	defer stop()
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "raw"})
 	resp, err := http.Post(hs.URL+"/ingest", "application/x-ndjson", strings.NewReader("{not json\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +432,7 @@ func riskDataset(t *testing.T, users, days int) *trace.Dataset {
 	return g.Dataset
 }
 
-func getRisk(t *testing.T, url string) riskResponse {
+func getRisk(t *testing.T, url string) worker.RiskResponse {
 	t.Helper()
 	resp, err := http.Get(url + "/risk")
 	if err != nil {
@@ -424,7 +442,7 @@ func getRisk(t *testing.T, url string) riskResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/risk status %d", resp.StatusCode)
 	}
-	var rr riskResponse
+	var rr worker.RiskResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +459,9 @@ func TestServeRiskFlagsRawNotPromesse(t *testing.T) {
 
 	// Raw path, with pseudonymized output: the monitor must still key
 	// risk by the INPUT identity — that is who the operator can warn.
-	srv, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 3, Pseudonym: "p", Seed: 1, RiskMinDays: 2})
-	postNDJSON(t, hs.URL, d)
-	postFlush(t, hs.URL)
+	_, hs, stop := servetest.Start(t, worker.Config{Spec: "raw", Shards: 3, Pseudonym: "p", Seed: 1, RiskMinDays: 2})
+	servetest.PostNDJSON(t, hs.URL, d)
+	servetest.PostFlush(t, hs.URL)
 
 	rr := getRisk(t, hs.URL)
 	if rr.MinDays != 2 || rr.Users != d.Len() {
@@ -482,18 +500,17 @@ func TestServeRiskFlagsRawNotPromesse(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown user status %d, want 404", resp.StatusCode)
 	}
-	users, flagged := srv.mon.Counts()
 	resp, err = http.Get(hs.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st statsResponse
+	var st serve.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.RiskUsers != users || st.RiskFlagged != flagged || st.RiskFlagged != d.Len() {
-		t.Errorf("stats risk counts = %d/%d, want %d/%d", st.RiskUsers, st.RiskFlagged, users, flagged)
+	if st.RiskUsers != rr.Users || st.RiskFlagged != rr.Flagged || st.RiskFlagged != d.Len() {
+		t.Errorf("stats risk counts = %d/%d, want %d/%d", st.RiskUsers, st.RiskFlagged, rr.Users, rr.Flagged)
 	}
 
 	// Reset clears the slate.
@@ -508,10 +525,9 @@ func TestServeRiskFlagsRawNotPromesse(t *testing.T) {
 	stop()
 
 	// Promesse path: same input, nobody flagged.
-	_, hs2, stop2 := startServer(t, serverConfig{Spec: "promesse", Shards: 3, RiskMinDays: 2})
-	defer stop2()
-	postNDJSON(t, hs2.URL, d)
-	postFlush(t, hs2.URL)
+	_, hs2, _ := servetest.Start(t, worker.Config{Spec: "promesse", Shards: 3, RiskMinDays: 2})
+	servetest.PostNDJSON(t, hs2.URL, d)
+	servetest.PostFlush(t, hs2.URL)
 	rr = getRisk(t, hs2.URL)
 	if rr.Flagged != 0 {
 		t.Fatalf("promesse serving flagged %d users, want 0: %+v", rr.Flagged, rr.Risks)
@@ -521,10 +537,9 @@ func TestServeRiskFlagsRawNotPromesse(t *testing.T) {
 // TestServeRiskDisabled pins that -risk-min-days 0 removes the monitor
 // and its endpoints 404.
 func TestServeRiskDisabled(t *testing.T) {
-	srv, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 1})
-	defer stop()
-	if srv.mon != nil {
-		t.Fatal("monitor built with RiskMinDays=0")
+	srv, hs, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 1})
+	if strings.Contains(srv.String(), "/risk") {
+		t.Fatalf("monitor built with RiskMinDays=0: %s", srv)
 	}
 	for _, req := range []func() (*http.Response, error){
 		func() (*http.Response, error) { return http.Get(hs.URL + "/risk") },

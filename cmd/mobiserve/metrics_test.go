@@ -13,6 +13,9 @@ import (
 	"testing"
 
 	"mobipriv/internal/load"
+	"mobipriv/internal/serve"
+	"mobipriv/internal/serve/servetest"
+	"mobipriv/internal/serve/worker"
 )
 
 // scrape fetches /metrics and parses the exposition into a map from
@@ -70,14 +73,13 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 // HELP/TYPE lines, and the engine counters reflect the ingested
 // traffic exactly.
 func TestMetricsEndpoint(t *testing.T) {
-	d := testDataset(t, 5)
-	_, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 4, RiskMinDays: 2})
-	defer stop()
+	d := servetest.Dataset(t, 5)
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 4, RiskMinDays: 2})
 
-	if got := postNDJSON(t, hs.URL, d); got != d.TotalPoints() {
+	if got := servetest.PostNDJSON(t, hs.URL, d); got != d.TotalPoints() {
 		t.Fatalf("accepted %d, want %d", got, d.TotalPoints())
 	}
-	postFlush(t, hs.URL)
+	servetest.PostFlush(t, hs.URL)
 
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
@@ -122,11 +124,10 @@ func TestMetricsEndpoint(t *testing.T) {
 // corresponding registry series, because the JSON view reads the
 // registry.
 func TestStatsMetricsEquivalence(t *testing.T) {
-	d := testDataset(t, 6)
-	_, hs, stop := startServer(t, serverConfig{Spec: "promesse(epsilon=150)", Shards: 3, RiskMinDays: 2})
-	defer stop()
-	postNDJSON(t, hs.URL, d)
-	postFlush(t, hs.URL)
+	d := servetest.Dataset(t, 6)
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "promesse(epsilon=150)", Shards: 3, RiskMinDays: 2})
+	servetest.PostNDJSON(t, hs.URL, d)
+	servetest.PostFlush(t, hs.URL)
 
 	// Scrape metrics FIRST, then /stats: counters are monotone and all
 	// traffic already arrived, so the values must agree exactly.
@@ -135,7 +136,7 @@ func TestStatsMetricsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st statsResponse
+	var st serve.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +174,7 @@ func TestStatsMetricsEquivalence(t *testing.T) {
 // TestPprofOptIn pins that the debug endpoints exist only behind
 // -pprof.
 func TestPprofOptIn(t *testing.T) {
-	_, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 1, Pprof: true})
-	defer stop()
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 1, Pprof: true})
 	resp, err := http.Get(hs.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +184,7 @@ func TestPprofOptIn(t *testing.T) {
 		t.Fatalf("pprof index status %d with -pprof", resp.StatusCode)
 	}
 
-	_, hs2, stop2 := startServer(t, serverConfig{Spec: "raw", Shards: 1})
-	defer stop2()
+	_, hs2, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 1})
 	resp, err = http.Get(hs2.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +201,7 @@ func TestPprofOptIn(t *testing.T) {
 // nonzero points/s and the server-side p99 decomposition (queue-wait /
 // process / sink), and /metrics still parses afterwards.
 func TestLoadSmoke(t *testing.T) {
-	_, hs, stop := startServer(t, serverConfig{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4, RiskMinDays: 2, TraceSample: 1})
-	defer stop()
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4, RiskMinDays: 2, TraceSample: 1})
 
 	res, err := load.Run(context.Background(), load.Config{
 		Target:    hs.URL,

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	otrace "mobipriv/internal/obs/trace"
+	"mobipriv/internal/serve/servetest"
+	"mobipriv/internal/serve/worker"
 	"mobipriv/internal/traceio"
 )
 
@@ -17,12 +19,11 @@ import (
 // slowest exemplar per latency bucket, and per-kind summaries that
 // include the engine decomposition spans.
 func TestDebugTraces(t *testing.T) {
-	_, hs, stop := startServer(t, serverConfig{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4, TraceSample: 1})
-	defer stop()
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4, TraceSample: 1})
 
-	d := testDataset(t, 6)
-	postNDJSON(t, hs.URL, d)
-	postFlush(t, hs.URL)
+	d := servetest.Dataset(t, 6)
+	servetest.PostNDJSON(t, hs.URL, d)
+	servetest.PostFlush(t, hs.URL)
 
 	resp, err := http.Get(hs.URL + "/debug/traces")
 	if err != nil {
@@ -89,10 +90,9 @@ func TestDebugTraces(t *testing.T) {
 // response header, new server-side parent span) and a missing header
 // mints a fresh trace.
 func TestIngestTraceparentEcho(t *testing.T) {
-	_, hs, stop := startServer(t, serverConfig{Spec: "raw", Shards: 1, TraceSample: 1})
-	defer stop()
+	_, hs, _ := servetest.Start(t, worker.Config{Spec: "raw", Shards: 1, TraceSample: 1})
 
-	d := testDataset(t, 1)
+	d := servetest.Dataset(t, 1)
 	var body bytes.Buffer
 	if err := traceio.WriteJSONL(&body, d); err != nil {
 		t.Fatal(err)

@@ -46,6 +46,12 @@ func TestPackageDocsPresent(t *testing.T) {
 		// The router: stateless placement-contract forwarding, exact
 		// stats aggregation, and loud partition failure.
 		{"internal/router", []string{"placement", "batch", "retried", "503", "merge", "traceparent"}},
+		// The serving layer: the one ingest loop, the shutdown order and
+		// the status mapping worker and router share.
+		{"internal/serve", []string{"ingest", "arrival order", "backpressure", "in-flight", "drain", "503"}},
+		// The worker: the engine around a registry spec, the sinks, and
+		// what a graceful stop does to each output.
+		{"internal/serve/worker", []string{"streaming-capable", "sink", ".mstore", "risk", "/out", "drain"}},
 		// The tracing layer: deterministic identity and sampling,
 		// nil-safe spans, and the flight-recorder retention story.
 		{"internal/obs/trace", []string{"span", "deterministic", "sampling", "traceparent", "nil-safe", "ring", "exemplar"}},

@@ -21,10 +21,11 @@
 // # Forwarding
 //
 // Ingest bodies (NDJSON or CSV) are decoded record-at-a-time and
-// batched by destination node: one upstream POST per (node, batch)
-// rather than per record, over a shared connection-reusing
-// http.Client. Sends to one node stay sequential (per-user order is
-// part of the contract); distinct nodes flush in parallel. Transient
+// batched by destination node through serve.Ingest, the same loop a
+// worker runs: one upstream POST per (node, batch) rather than per
+// record, over a shared connection-reusing http.Client. Sends to one
+// node stay sequential (per-user order is part of the contract);
+// distinct nodes flush in parallel. Transient
 // upstream failures are retried with bounded exponential backoff;
 // exhausting the retries surfaces a 503 naming the failing node —
 // a partition is never silently dropped. Each upstream request runs
@@ -56,12 +57,12 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mobipriv/internal/obs"
 	"mobipriv/internal/rng"
-	"mobipriv/internal/trace"
+	"mobipriv/internal/serve"
+	"mobipriv/internal/stream"
 	"mobipriv/internal/traceio"
 )
 
@@ -195,80 +196,45 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /ingest", rt.handleIngest)
 	mux.HandleFunc("POST /flush", rt.handleFlush)
 	mux.HandleFunc("GET /stats", rt.handleStats)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	mux.HandleFunc("GET /metrics", serve.Metrics(rt.reg))
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	return mux
 }
 
-// rec is one decoded ingest record in flight to a node.
-type rec struct {
-	user string
-	pt   trace.Point
-}
-
-// handleIngest decodes the body record-at-a-time, buffers records by
-// destination node, and forwards one upstream POST per (node, batch).
-// The incoming traceparent (if any) is echoed on the response and
-// forwarded on every upstream request.
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
+// echoTraceparent returns the request's traceparent (empty when
+// absent) and echoes it on the response.
+func echoTraceparent(w http.ResponseWriter, r *http.Request) string {
 	tp := r.Header.Get("traceparent")
 	if tp != "" {
 		w.Header().Set("traceparent", tp)
 	}
-	bufs := make([][]rec, len(rt.nodes))
-	// sent is per-node so the parallel tail flush mutates disjoint
-	// slots; the response total is summed after every send is done.
-	sent := make([]int, len(rt.nodes))
-	send := func(i int) error {
-		if len(bufs[i]) == 0 {
-			return nil
-		}
-		if err := rt.sendBatch(r.Context(), i, bufs[i], tp); err != nil {
-			return err
-		}
-		sent[i] += len(bufs[i])
-		bufs[i] = bufs[i][:0]
-		return nil
-	}
-	record := func(user string, p trace.Point) error {
-		i := rt.NodeOf(user)
-		bufs[i] = append(bufs[i], rec{user, p})
-		if len(bufs[i]) >= rt.cfg.Batch {
-			return send(i)
-		}
-		return nil
-	}
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
-		err = traceio.DecodeCSV(r.Body, record)
-	} else {
-		err = traceio.DecodeJSONL(r.Body, record)
-	}
-	if err == nil {
-		// Tail flush: distinct nodes hold disjoint users, so the final
-		// per-node batches can fly in parallel without reordering any
-		// user's stream.
-		err = rt.fanOut(func(i int) error { return send(i) })
-	}
+	return tp
+}
+
+// handleIngest runs the shared ingest loop with one destination per
+// node, forwarding one upstream POST per (node, batch). The incoming
+// traceparent (if any) is echoed on the response and forwarded on every
+// upstream request.
+func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
+	tp := echoTraceparent(w, r)
+	accepted, err := serve.Ingest(r, rt.cfg.Batch, len(rt.nodes), rt.NodeOf, func(i int, b []stream.Update) error {
+		return rt.sendBatch(r.Context(), i, b, tp)
+	})
 	if err != nil {
-		rt.httpError(w, err)
+		serve.Error(w, err)
 		return
 	}
-	accepted := 0
-	for _, n := range sent {
-		accepted += n
-	}
-	writeJSON(w, map[string]any{"accepted": accepted})
+	serve.WriteJSON(w, map[string]any{"accepted": accepted})
 }
 
 // sendBatch forwards one batch of records to node i as NDJSON, with
 // bounded retry on transient failures (transport errors, 5xx). Every
 // failed attempt increments router_upstream_errors{node}; exhausting
 // the attempts returns an error naming the node.
-func (rt *Router) sendBatch(ctx context.Context, i int, batch []rec, traceparent string) error {
+func (rt *Router) sendBatch(ctx context.Context, i int, batch []stream.Update, traceparent string) error {
 	var body bytes.Buffer
-	for _, r := range batch {
-		traceio.WriteJSONLRecord(&body, r.user, r.pt)
+	for _, u := range batch {
+		traceio.WriteJSONLRecord(&body, u.User, u.Point)
 	}
 	err := rt.upstream(ctx, i, http.MethodPost, "/ingest", body.Bytes(), traceparent)
 	if err != nil {
@@ -306,7 +272,8 @@ func (rt *Router) upstream(ctx context.Context, i int, method, path string, reqB
 }
 
 // NodeError reports a failure talking to one specific upstream node,
-// so a partition outage is always attributable by name.
+// so a partition outage is always attributable by name. It matches
+// serve.ErrUnavailable, so the router answers it with 503.
 type NodeError struct {
 	Node string
 	Err  error
@@ -314,6 +281,9 @@ type NodeError struct {
 
 func (e *NodeError) Error() string { return fmt.Sprintf("node %s: %v", e.Node, e.Err) }
 func (e *NodeError) Unwrap() error { return e.Err }
+
+// Is makes a NodeError match serve.ErrUnavailable.
+func (e *NodeError) Is(target error) bool { return target == serve.ErrUnavailable }
 
 // retryableError marks an upstream failure worth retrying: the worker
 // may be restarting or momentarily overloaded.
@@ -362,36 +332,17 @@ func (rt *Router) attempt(ctx context.Context, i int, method, path string, reqBo
 	return nil
 }
 
-// fanOut runs fn(i) for every node concurrently and returns the first
-// error (lowest node index wins, deterministically).
-func (rt *Router) fanOut(fn func(i int) error) error {
-	errs := make([]error, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i := range rt.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // handleFlush forwards the flush to every node; all must succeed.
 func (rt *Router) handleFlush(w http.ResponseWriter, r *http.Request) {
-	tp := r.Header.Get("traceparent")
-	if tp != "" {
-		w.Header().Set("traceparent", tp)
-	}
-	err := rt.fanOut(func(i int) error {
+	tp := echoTraceparent(w, r)
+	err := serve.FanOut(len(rt.nodes), func(i int) error {
 		return rt.upstream(r.Context(), i, http.MethodPost, "/flush", nil, tp)
 	})
 	if err != nil {
-		rt.httpError(w, err)
+		serve.Error(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"flushed": true})
+	serve.WriteJSON(w, map[string]any{"flushed": true})
 }
 
 // Check probes every node's /healthz concurrently and returns an
@@ -399,24 +350,38 @@ func (rt *Router) handleFlush(w http.ResponseWriter, r *http.Request) {
 // answers). It is the health contract behind GET /healthz and the
 // startup probe in cmd/mobirouter.
 func (rt *Router) Check(ctx context.Context) error {
-	return rt.fanOut(func(i int) error {
-		pctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, rt.nodes[i]+"/healthz", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return &NodeError{Node: rt.names[i], Err: err}
-		}
+	return serve.FanOut(len(rt.nodes), func(i int) error {
+		return rt.get(ctx, i, "/healthz", nil)
+	})
+}
+
+// get fetches path from node i under the per-request timeout and, when
+// v is not nil, decodes the JSON answer into it. A failure names the
+// node.
+func (rt *Router) get(ctx context.Context, i int, path string, v any) error {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.nodes[i]+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return &NodeError{Node: rt.names[i], Err: err}
+	}
+	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return &NodeError{Node: rt.names[i], Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
+	}()
+	if resp.StatusCode != http.StatusOK {
+		return &NodeError{Node: rt.names[i], Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
+	}
+	if v != nil {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			return &NodeError{Node: rt.names[i], Err: fmt.Errorf("%s: %w", path, err)}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // handleHealthz probes every node; any dead node makes the router
@@ -427,25 +392,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// handleMetrics serves the router's own registry in Prometheus text
-// format.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.reg.WritePrometheus(w)
-}
-
-// upstreamStats is the slice of a worker's /stats the router
-// aggregates.
-type upstreamStats struct {
-	In          uint64                  `json:"points_in"`
-	Out         uint64                  `json:"points_out"`
-	Stalls      uint64                  `json:"push_stalls"`
-	Evicted     uint64                  `json:"evicted_users"`
-	ActiveUsers int                     `json:"active_users"`
-	SinkPoints  uint64                  `json:"sink_store_points"`
-	Latency     []obs.HistogramSnapshot `json:"latency"`
 }
 
 // nodeStats is the per-node breakdown in the router's /stats.
@@ -483,34 +429,13 @@ type statsResponse struct {
 // per-node detail), so mobiload's server-side decomposition works
 // unchanged against a router.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := make([]*upstreamStats, len(rt.nodes))
-	err := rt.fanOut(func(i int) error {
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.Timeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.nodes[i]+"/stats", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return &NodeError{Node: rt.names[i], Err: err}
-		}
-		defer func() {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}()
-		if resp.StatusCode != http.StatusOK {
-			return &NodeError{Node: rt.names[i], Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
-		}
-		var st upstreamStats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return &NodeError{Node: rt.names[i], Err: fmt.Errorf("stats: %w", err)}
-		}
-		stats[i] = &st
-		return nil
+	stats := make([]*serve.StatsResponse, len(rt.nodes))
+	err := serve.FanOut(len(rt.nodes), func(i int) error {
+		stats[i] = new(serve.StatsResponse)
+		return rt.get(r.Context(), i, "/stats", stats[i])
 	})
 	if err != nil {
-		rt.httpError(w, err)
+		serve.Error(w, err)
 		return
 	}
 	up := time.Since(rt.started).Seconds()
@@ -543,12 +468,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	// per-node labels.
 	resp.Latency = append(resp.Latency, rt.reg.HistogramSnapshots()...)
 	sortSnapshots(resp.Latency)
-	writeJSON(w, resp)
+	serve.WriteJSON(w, resp)
 }
 
 // mergeSnapshots folds every node's histogram series together by
 // (name, labels) via the exact sparse-bin state.
-func mergeSnapshots(stats []*upstreamStats) []obs.HistogramSnapshot {
+func mergeSnapshots(stats []*serve.StatsResponse) []obs.HistogramSnapshot {
 	type key struct{ name, labels string }
 	merged := make(map[key]*obs.Histogram)
 	var order []key
@@ -581,25 +506,4 @@ func sortSnapshots(s []obs.HistogramSnapshot) {
 		}
 		return s[i].Labels < s[j].Labels
 	})
-}
-
-// httpError maps an upstream failure onto the router's response:
-// request timeout (408) when the client itself went away, service
-// unavailable (503) naming the node when part of the fleet cannot be
-// reached, and a client error (400) when the body failed to decode.
-func (rt *Router) httpError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	var ne *NodeError
-	switch {
-	case errors.Is(err, context.Canceled):
-		code = http.StatusRequestTimeout
-	case errors.As(err, &ne):
-		code = http.StatusServiceUnavailable
-	}
-	http.Error(w, err.Error(), code)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }

@@ -16,6 +16,7 @@ import (
 
 	"mobipriv/internal/obs"
 	"mobipriv/internal/rng"
+	"mobipriv/internal/serve"
 	"mobipriv/internal/trace"
 	"mobipriv/internal/traceio"
 )
@@ -401,9 +402,9 @@ func TestSlowWorkerTimesOutWithoutLeak(t *testing.T) {
 
 func labelNode(name string) obs.Label { return obs.L("node", name) }
 
-// statsWorker serves a canned upstreamStats document, so the router's
+// statsWorker serves a canned worker /stats document, so the router's
 // aggregation can be checked against hand-computable sums.
-func statsWorker(t *testing.T, st upstreamStats) *httptest.Server {
+func statsWorker(t *testing.T, st serve.StatsResponse) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", func(rw http.ResponseWriter, r *http.Request) {
@@ -437,14 +438,14 @@ func snapshotOf(name string, durs ...time.Duration) obs.HistogramSnapshot {
 // keeps the series sorted by (name, labels). /flush fans out to every
 // node and /metrics exposes the router's own counters.
 func TestStatsAggregation(t *testing.T) {
-	a := statsWorker(t, upstreamStats{
+	a := statsWorker(t, serve.StatsResponse{
 		In: 100, Out: 90, Stalls: 3, Evicted: 1, ActiveUsers: 10, SinkPoints: 80,
 		Latency: []obs.HistogramSnapshot{
 			snapshotOf("stream_process_seconds", time.Millisecond, 2*time.Millisecond),
 			snapshotOf("stream_queue_wait_seconds", 50*time.Microsecond),
 		},
 	})
-	b := statsWorker(t, upstreamStats{
+	b := statsWorker(t, serve.StatsResponse{
 		In: 40, Out: 40, Stalls: 1, Evicted: 0, ActiveUsers: 4, SinkPoints: 40,
 		Latency: []obs.HistogramSnapshot{
 			snapshotOf("stream_process_seconds", 4*time.Millisecond),

@@ -1,4 +1,4 @@
-package main
+package serve_test
 
 import (
 	"bytes"
@@ -16,6 +16,8 @@ import (
 	"mobipriv/internal/load"
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/router"
+	"mobipriv/internal/serve/servetest"
+	"mobipriv/internal/serve/worker"
 	"mobipriv/internal/store"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
@@ -41,43 +43,17 @@ const (
 
 // mnWorker is one mobiserve worker with a .mstore sink.
 type mnWorker struct {
-	srv  *server
 	hs   *httptest.Server
 	sink string
 	stop func()
 }
 
-// startSinkWorker builds a worker whose engine runs and whose output
-// lands in a fresh .mstore sink; stop() shuts the engine down and
-// commits the sink so it can be opened.
+// startSinkWorker starts a worker whose output lands in a fresh .mstore
+// sink; stop() shuts it down and commits the sink so it can be opened.
 func startSinkWorker(t *testing.T, sink string) *mnWorker {
 	t.Helper()
-	srv, err := newServer(serverConfig{Spec: mnSpec, Shards: 4, Seed: 1, TraceSample: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.attachStoreSink(sink, true); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.eng.Run(context.Background()) }()
-	hs := httptest.NewServer(srv.handler())
-	stopped := false
-	stop := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		hs.Close()
-		srv.eng.Close()
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-		if err := srv.sinkStore.Close(); err != nil {
-			t.Error(err)
-		}
-	}
-	return &mnWorker{srv: srv, hs: hs, sink: sink, stop: stop}
+	_, hs, stop := servetest.Start(t, worker.Config{Spec: mnSpec, Shards: 4, Seed: 1, TraceSample: 1, Sink: sink, SinkFresh: true})
+	return &mnWorker{hs: hs, sink: sink, stop: stop}
 }
 
 // mnRun is one replay's outcome: where the (merged) output store
@@ -99,11 +75,6 @@ func replayFleet(t *testing.T, dir string, n int) *mnRun {
 	}
 	var workers []*mnWorker
 	var urls []string
-	defer func() {
-		for _, w := range workers {
-			w.stop()
-		}
-	}()
 	for i := 0; i < n; i++ {
 		w := startSinkWorker(t, filepath.Join(dir, fmt.Sprintf("node%d.mstore", i)))
 		workers = append(workers, w)
@@ -339,16 +310,9 @@ func TestMultiNodeEquivalence(t *testing.T) {
 // covering the whole fleet.
 func TestRouterStatsAggregation(t *testing.T) {
 	dir := t.TempDir()
-	var workers []*mnWorker
 	var urls []string
-	defer func() {
-		for _, w := range workers {
-			w.stop()
-		}
-	}()
 	for i := 0; i < 3; i++ {
 		w := startSinkWorker(t, filepath.Join(dir, fmt.Sprintf("n%d.mstore", i)))
-		workers = append(workers, w)
 		urls = append(urls, w.hs.URL)
 	}
 	rt, err := router.New(router.Config{Nodes: urls, Batch: 64})
@@ -358,11 +322,11 @@ func TestRouterStatsAggregation(t *testing.T) {
 	rhs := httptest.NewServer(rt.Handler())
 	defer rhs.Close()
 
-	d := testDataset(t, 9)
-	if got := postNDJSON(t, rhs.URL, d); got != d.TotalPoints() {
+	d := servetest.Dataset(t, 9)
+	if got := servetest.PostNDJSON(t, rhs.URL, d); got != d.TotalPoints() {
 		t.Fatalf("router accepted %d points, want %d", got, d.TotalPoints())
 	}
-	postFlush(t, rhs.URL)
+	servetest.PostFlush(t, rhs.URL)
 
 	resp, err := http.Get(rhs.URL + "/stats")
 	if err != nil {
@@ -418,7 +382,6 @@ func TestRouterStatsAggregation(t *testing.T) {
 // worker.
 func TestRouterTraceparentEndToEnd(t *testing.T) {
 	w := startSinkWorker(t, filepath.Join(t.TempDir(), "n0.mstore"))
-	defer w.stop()
 	rt, err := router.New(router.Config{Nodes: []string{w.hs.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +392,7 @@ func TestRouterTraceparentEndToEnd(t *testing.T) {
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	const tp = "00-" + traceID + "-00f067aa0ba902b7-01"
 	var body bytes.Buffer
-	if err := traceio.WriteJSONL(&body, testDataset(t, 2)); err != nil {
+	if err := traceio.WriteJSONL(&body, servetest.Dataset(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	req, err := http.NewRequest(http.MethodPost, rhs.URL+"/ingest", &body)
