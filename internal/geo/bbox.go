@@ -83,35 +83,6 @@ func (b BBox) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lng: (b.MinLng + b.MaxLng) / 2}
 }
 
-// Buffer returns the box grown by the given margin in meters on every
-// side. Buffering an empty box returns an empty box.
-func (b BBox) Buffer(meters float64) BBox {
-	if b.IsEmpty() || meters <= 0 {
-		return b
-	}
-	sw := Offset(Point{Lat: b.MinLat, Lng: b.MinLng}, -meters, -meters)
-	ne := Offset(Point{Lat: b.MaxLat, Lng: b.MaxLng}, meters, meters)
-	return NewBBox(sw, ne)
-}
-
-// WidthMeters returns the east-west extent measured along the box's
-// central latitude.
-func (b BBox) WidthMeters() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	midLat := (b.MinLat + b.MaxLat) / 2
-	return Distance(Point{Lat: midLat, Lng: b.MinLng}, Point{Lat: midLat, Lng: b.MaxLng})
-}
-
-// HeightMeters returns the north-south extent.
-func (b BBox) HeightMeters() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return Distance(Point{Lat: b.MinLat, Lng: b.MinLng}, Point{Lat: b.MaxLat, Lng: b.MinLng})
-}
-
 // String implements fmt.Stringer.
 func (b BBox) String() string {
 	if b.IsEmpty() {

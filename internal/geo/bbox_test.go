@@ -13,9 +13,6 @@ func TestBBoxEmpty(t *testing.T) {
 	if b.Contains(lyon) {
 		t.Fatal("empty box should contain nothing")
 	}
-	if b.WidthMeters() != 0 || b.HeightMeters() != 0 {
-		t.Fatal("empty box should have zero extent")
-	}
 	if got := b.String(); got != "BBox(empty)" {
 		t.Fatalf("String() = %q", got)
 	}
@@ -73,32 +70,14 @@ func TestBBoxUnion(t *testing.T) {
 	}
 }
 
-func TestBBoxBuffer(t *testing.T) {
-	b := NewBBox(lyon, Offset(lyon, 100, 100))
-	big := b.Buffer(50)
-	outside := Offset(lyon, -40, -40)
-	if b.Contains(outside) {
-		t.Fatal("unbuffered box should not contain the probe")
-	}
-	if !big.Contains(outside) {
-		t.Fatal("buffered box should contain the probe")
-	}
-	var empty BBox
-	if !empty.Buffer(10).IsEmpty() {
-		t.Fatal("buffering an empty box must stay empty")
-	}
-	if got := b.Buffer(0); got != b {
-		t.Fatal("Buffer(0) should be identity")
-	}
-}
-
 func TestBBoxExtents(t *testing.T) {
 	b := NewBBox(lyon, Offset(lyon, 1000, 2000))
-	if w := b.WidthMeters(); w < 995 || w > 1005 {
-		t.Errorf("WidthMeters = %v, want ~1000", w)
+	midLat := (b.MinLat + b.MaxLat) / 2
+	if w := Distance(Point{Lat: midLat, Lng: b.MinLng}, Point{Lat: midLat, Lng: b.MaxLng}); w < 995 || w > 1005 {
+		t.Errorf("width = %v, want ~1000", w)
 	}
-	if h := b.HeightMeters(); h < 1995 || h > 2005 {
-		t.Errorf("HeightMeters = %v, want ~2000", h)
+	if h := Distance(Point{Lat: b.MinLat, Lng: b.MinLng}, Point{Lat: b.MaxLat, Lng: b.MinLng}); h < 1995 || h > 2005 {
+		t.Errorf("height = %v, want ~2000", h)
 	}
 	c := b.Center()
 	if d := FastDistance(c, Offset(lyon, 500, 1000)); d > 2 {

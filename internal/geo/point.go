@@ -37,15 +37,6 @@ type Point struct {
 	Lng float64 // longitude in degrees, in [-180, 180]
 }
 
-// NewPoint returns a Point after validating its coordinates.
-func NewPoint(lat, lng float64) (Point, error) {
-	p := Point{Lat: lat, Lng: lng}
-	if err := p.Validate(); err != nil {
-		return Point{}, err
-	}
-	return p, nil
-}
-
 // Validate checks that the point's coordinates lie in the legal WGS84
 // ranges and are not NaN or infinite.
 func (p Point) Validate() error {
@@ -65,12 +56,6 @@ func (p Point) String() string {
 
 // Equal reports whether two points are exactly equal.
 func (p Point) Equal(q Point) bool { return p.Lat == q.Lat && p.Lng == q.Lng }
-
-// AlmostEqual reports whether two points are within tol meters of each
-// other, using the fast equirectangular distance.
-func (p Point) AlmostEqual(q Point, tol float64) bool {
-	return FastDistance(p, q) <= tol
-}
 
 // latRad and lngRad return the coordinates in radians.
 func (p Point) latRad() float64 { return p.Lat * degToRad }

@@ -10,7 +10,9 @@ import (
 // home town).
 var lyon = Point{Lat: 45.7640, Lng: 4.8357}
 
-func TestNewPoint(t *testing.T) {
+// TestPointValidate pins the legal WGS84 ranges and the NaN and Inf
+// rejections.
+func TestPointValidate(t *testing.T) {
 	tests := []struct {
 		name    string
 		lat     float64
@@ -29,9 +31,9 @@ func TestNewPoint(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewPoint(tt.lat, tt.lng)
+			err := Point{Lat: tt.lat, Lng: tt.lng}.Validate()
 			if (err != nil) != tt.wantErr {
-				t.Fatalf("NewPoint(%v, %v) error = %v, wantErr %v", tt.lat, tt.lng, err, tt.wantErr)
+				t.Fatalf("Validate(%v, %v) error = %v, wantErr %v", tt.lat, tt.lng, err, tt.wantErr)
 			}
 		})
 	}
@@ -208,16 +210,6 @@ func TestDestinationBearingRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlmostEqual(t *testing.T) {
-	q := Offset(lyon, 5, 0)
-	if !lyon.AlmostEqual(q, 6) {
-		t.Error("points 5 m apart should be AlmostEqual with tol 6")
-	}
-	if lyon.AlmostEqual(q, 4) {
-		t.Error("points 5 m apart should not be AlmostEqual with tol 4")
 	}
 }
 

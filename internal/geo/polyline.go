@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrEmptyPolyline reports an operation on a polyline without vertices.
 var ErrEmptyPolyline = errors.New("geo: empty polyline")
@@ -37,14 +34,8 @@ func NewPolyline(pts []Point) (*Polyline, error) {
 // Len returns the number of vertices.
 func (pl *Polyline) Len() int { return len(pl.pts) }
 
-// Vertex returns the i-th vertex.
-func (pl *Polyline) Vertex(i int) Point { return pl.pts[i] }
-
 // Length returns the total arc length in meters.
 func (pl *Polyline) Length() float64 { return pl.cum[len(pl.cum)-1] }
-
-// CumLength returns the arc length from the first vertex to vertex i.
-func (pl *Polyline) CumLength(i int) float64 { return pl.cum[i] }
 
 // PointAt returns the point at the given arc-length distance (meters)
 // from the start, interpolating along the segment containing it.
@@ -75,48 +66,4 @@ func (pl *Polyline) PointAt(dist float64) Point {
 	}
 	f := (dist - pl.cum[i]) / segLen
 	return Interpolate(pl.pts[i], pl.pts[lo], f)
-}
-
-// Resample returns n points evenly spaced by arc length along the
-// polyline, including both endpoints. n must be at least 2 unless the
-// polyline has zero length, in which case a single repeated point is
-// acceptable and n must be at least 1.
-func (pl *Polyline) Resample(n int) ([]Point, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("geo: resample count %d < 1", n)
-	}
-	total := pl.Length()
-	if n == 1 {
-		if total > 0 {
-			return nil, errors.New("geo: cannot resample non-degenerate polyline to a single point")
-		}
-		return []Point{pl.pts[0]}, nil
-	}
-	out := make([]Point, n)
-	step := total / float64(n-1)
-	for i := 0; i < n; i++ {
-		out[i] = pl.PointAt(float64(i) * step)
-	}
-	return out, nil
-}
-
-// ResampleEvery returns points spaced exactly spacing meters apart along
-// the polyline starting at the first vertex; the final vertex is always
-// included as the last point (so the last gap may be shorter). spacing
-// must be positive.
-func (pl *Polyline) ResampleEvery(spacing float64) ([]Point, error) {
-	if spacing <= 0 {
-		return nil, fmt.Errorf("geo: spacing %v must be positive", spacing)
-	}
-	total := pl.Length()
-	if total == 0 {
-		return []Point{pl.pts[0]}, nil
-	}
-	n := int(total/spacing) + 1
-	out := make([]Point, 0, n+1)
-	for d := 0.0; d < total; d += spacing {
-		out = append(out, pl.PointAt(d))
-	}
-	out = append(out, pl.pts[len(pl.pts)-1])
-	return out, nil
 }

@@ -43,8 +43,8 @@ func TestPolylineLength(t *testing.T) {
 	if pl.Len() != 11 {
 		t.Fatalf("Len = %d, want 11", pl.Len())
 	}
-	if got := pl.CumLength(5); math.Abs(got-500) > 0.01 {
-		t.Fatalf("CumLength(5) = %v, want 500", got)
+	if got := pl.cum[5]; math.Abs(got-500) > 0.01 {
+		t.Fatalf("cum[5] = %v, want 500", got)
 	}
 }
 
@@ -54,9 +54,9 @@ func TestPolylineImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := pl.Vertex(0)
+	orig := pl.pts[0]
 	pts[0] = Offset(lyon, 9999, 9999)
-	if !pl.Vertex(0).Equal(orig) {
+	if !pl.pts[0].Equal(orig) {
 		t.Fatal("polyline must copy its input slice")
 	}
 }
@@ -66,19 +66,19 @@ func TestPointAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.PointAt(-5); !got.Equal(pl.Vertex(0)) {
+	if got := pl.PointAt(-5); !got.Equal(pl.pts[0]) {
 		t.Error("PointAt(<0) should clamp to start")
 	}
-	if got := pl.PointAt(99999); !got.Equal(pl.Vertex(4)) {
+	if got := pl.PointAt(99999); !got.Equal(pl.pts[4]) {
 		t.Error("PointAt(>len) should clamp to end")
 	}
 	// A point exactly at a vertex distance.
-	if got := pl.PointAt(250); FastDistance(got, pl.Vertex(1)) > 0.01 {
+	if got := pl.PointAt(250); FastDistance(got, pl.pts[1]) > 0.01 {
 		t.Errorf("PointAt(250) = %v, want vertex 1", got)
 	}
 	// A mid-segment point is 125 m from both surrounding vertices.
 	m := pl.PointAt(125)
-	if d := Distance(pl.Vertex(0), m); math.Abs(d-125) > 0.05 {
+	if d := Distance(pl.pts[0], m); math.Abs(d-125) > 0.05 {
 		t.Errorf("PointAt(125): distance from v0 = %v", d)
 	}
 }
@@ -94,86 +94,6 @@ func TestPointAtDegenerateSegment(t *testing.T) {
 	got := pl.PointAt(50)
 	if d := Distance(lyon, got); math.Abs(d-50) > 0.05 {
 		t.Fatalf("PointAt(50) over degenerate segment: %v m from start", d)
-	}
-}
-
-func TestResample(t *testing.T) {
-	pl, err := NewPolyline(zigzag(8, 125))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pl.Resample(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 11 {
-		t.Fatalf("Resample(11) returned %d points", len(out))
-	}
-	if !out[0].Equal(pl.Vertex(0)) || FastDistance(out[10], pl.Vertex(8)) > 1e-6 {
-		t.Fatal("Resample must include both endpoints")
-	}
-	// Even spacing: consecutive distances along the line are equal.
-	step := pl.Length() / 10
-	for i := 1; i < len(out); i++ {
-		d := Distance(out[i-1], out[i])
-		// Chord distance can be slightly below arc distance on corners;
-		// allow 10% slack (the zigzag has sharp 90-degree corners).
-		if d > step*1.05 {
-			t.Errorf("gap %d = %v, step %v", i, d, step)
-		}
-	}
-}
-
-func TestResampleErrors(t *testing.T) {
-	pl, err := NewPolyline(zigzag(2, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Resample(0); err == nil {
-		t.Error("Resample(0) should fail")
-	}
-	if _, err := pl.Resample(1); err == nil {
-		t.Error("Resample(1) on non-degenerate polyline should fail")
-	}
-	single, err := NewPolyline([]Point{lyon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := single.Resample(1)
-	if err != nil || len(out) != 1 {
-		t.Errorf("Resample(1) on degenerate polyline: %v, %v", out, err)
-	}
-}
-
-func TestResampleEvery(t *testing.T) {
-	pl, err := NewPolyline(zigzag(10, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pl.ResampleEvery(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1000 m at 100 m spacing: starts at 0,100,...,900 plus final vertex.
-	if len(out) != 11 {
-		t.Fatalf("ResampleEvery(100) returned %d points, want 11", len(out))
-	}
-	if _, err := pl.ResampleEvery(0); err == nil {
-		t.Error("ResampleEvery(0) should fail")
-	}
-	if _, err := pl.ResampleEvery(-10); err == nil {
-		t.Error("ResampleEvery(-10) should fail")
-	}
-}
-
-func TestResampleEveryDegenerate(t *testing.T) {
-	pl, err := NewPolyline([]Point{lyon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pl.ResampleEvery(50)
-	if err != nil || len(out) != 1 {
-		t.Fatalf("degenerate ResampleEvery: %v, %v", out, err)
 	}
 }
 

@@ -43,9 +43,6 @@ func NewProjector(origin Point) *Projector {
 	return &Projector{origin: origin, cosLat: math.Cos(origin.latRad())}
 }
 
-// Origin returns the projection origin.
-func (pr *Projector) Origin() Point { return pr.origin }
-
 // ToXY projects a WGS84 point into the local frame.
 func (pr *Projector) ToXY(p Point) XY {
 	return XY{

@@ -31,11 +31,7 @@ func TestProjectorPreservesDistance(t *testing.T) {
 }
 
 func TestProjectorOrigin(t *testing.T) {
-	pr := NewProjector(lyon)
-	if got := pr.Origin(); !got.Equal(lyon) {
-		t.Fatalf("Origin() = %v, want %v", got, lyon)
-	}
-	if v := pr.ToXY(lyon); v.Norm() > 1e-9 {
+	if v := NewProjector(lyon).ToXY(lyon); v.Norm() > 1e-9 {
 		t.Fatalf("ToXY(origin) = %v, want (0,0)", v)
 	}
 }

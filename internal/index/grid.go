@@ -1,7 +1,6 @@
-// Package index provides hash-grid spatial and spatio-temporal indexes
-// over geographic points. They power the mix-zone crossing detector, the
-// POI matcher and the multi-target tracking attack, all of which need
-// fast "who is near (p, t)?" queries over hundreds of thousands of
+// Package index provides a spatio-temporal hash grid over geographic
+// points. It powers the mix-zone crossing detector, which needs fast
+// "who is near (p, t)?" queries over hundreds of thousands of
 // observations.
 //
 // A uniform hash grid is the right tool here: mobility data is dense and
@@ -18,166 +17,7 @@ import (
 	"mobipriv/internal/geo"
 )
 
-// cellKey addresses one grid cell.
-type cellKey struct {
-	cx, cy int
-}
-
-// entry is one indexed point with its caller-assigned identifier.
-type entry struct {
-	pos geo.XY
-	id  int
-}
-
-// Grid is a uniform hash-grid spatial index mapping points to integer
-// identifiers (typically indexes into a caller-side slice).
-//
-// Grid is not safe for concurrent mutation; build it fully, then query
-// from any number of goroutines.
-type Grid struct {
-	proj *geo.Projector
-	size float64 // cell edge in meters
-	cell map[cellKey][]entry
-	n    int
-}
-
-// NewGrid returns an empty grid with the given projection origin and
-// cell size in meters. The cell size should be on the order of the
-// typical query radius. It panics if cellSize is not positive (a
-// programming error, not input-dependent).
-func NewGrid(origin geo.Point, cellSize float64) *Grid {
-	if cellSize <= 0 {
-		panic(fmt.Sprintf("index: cell size %v must be positive", cellSize))
-	}
-	return &Grid{
-		proj: geo.NewProjector(origin),
-		size: cellSize,
-		cell: make(map[cellKey][]entry),
-	}
-}
-
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return g.n }
-
-// CellSize returns the configured cell edge in meters.
-func (g *Grid) CellSize() float64 { return g.size }
-
-func (g *Grid) key(v geo.XY) cellKey {
-	return cellKey{
-		cx: int(math.Floor(v.X / g.size)),
-		cy: int(math.Floor(v.Y / g.size)),
-	}
-}
-
-// Insert adds a point with its identifier. Duplicate identifiers are
-// allowed; the grid does not interpret them.
-func (g *Grid) Insert(p geo.Point, id int) {
-	v := g.proj.ToXY(p)
-	k := g.key(v)
-	g.cell[k] = append(g.cell[k], entry{pos: v, id: id})
-	g.n++
-}
-
-// Within returns the identifiers of all points within radius meters of
-// center, in ascending identifier order (deterministic output for
-// deterministic experiments).
-func (g *Grid) Within(center geo.Point, radius float64) []int {
-	if radius < 0 {
-		return nil
-	}
-	c := g.proj.ToXY(center)
-	r2 := radius * radius
-	lo := g.key(geo.XY{X: c.X - radius, Y: c.Y - radius})
-	hi := g.key(geo.XY{X: c.X + radius, Y: c.Y + radius})
-	var out []int
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, e := range g.cell[cellKey{cx, cy}] {
-				d := e.pos.Sub(c)
-				if d.X*d.X+d.Y*d.Y <= r2 {
-					out = append(out, e.id)
-				}
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Nearest returns the identifier of the indexed point closest to p and
-// its distance in meters. ok is false for an empty grid. Ties are broken
-// by the smaller identifier.
-func (g *Grid) Nearest(p geo.Point) (id int, dist float64, ok bool) {
-	if g.n == 0 {
-		return 0, 0, false
-	}
-	c := g.proj.ToXY(p)
-	center := g.key(c)
-	best := math.Inf(1)
-	bestID := 0
-	found := false
-	// Expanding ring search: scan cells in increasing ring radius; once a
-	// candidate is found, finish the ring that could still contain a
-	// closer point.
-	for ring := 0; ; ring++ {
-		// Prune: if the best distance is already smaller than the closest
-		// possible point in this ring, stop.
-		if found && float64(ring-1)*g.size > best {
-			break
-		}
-		for cx := center.cx - ring; cx <= center.cx+ring; cx++ {
-			for cy := center.cy - ring; cy <= center.cy+ring; cy++ {
-				// Only the ring border (inner cells were already visited).
-				if ring > 0 && cx != center.cx-ring && cx != center.cx+ring &&
-					cy != center.cy-ring && cy != center.cy+ring {
-					continue
-				}
-				for _, e := range g.cell[cellKey{cx, cy}] {
-					d := e.pos.Dist(c)
-					if d < best || (d == best && e.id < bestID) {
-						best = d
-						bestID = e.id
-						found = true
-					}
-				}
-			}
-		}
-		// Safety bound: the grid extent is finite; once the ring has
-		// expanded past every occupied cell there is nothing left to find.
-		if ring > g.maxRing(center) {
-			break
-		}
-	}
-	if !found {
-		return 0, 0, false
-	}
-	return bestID, best, true
-}
-
-// maxRing returns a conservative bound on the ring index needed to cover
-// every occupied cell from the given center.
-func (g *Grid) maxRing(center cellKey) int {
-	m := 0
-	for k := range g.cell {
-		dx := k.cx - center.cx
-		if dx < 0 {
-			dx = -dx
-		}
-		dy := k.cy - center.cy
-		if dy < 0 {
-			dy = -dy
-		}
-		if dx > m {
-			m = dx
-		}
-		if dy > m {
-			m = dy
-		}
-	}
-	return m
-}
-
-// STKey addresses one space-time bucket of an STGrid.
+// stKey addresses one space-time bucket of an STGrid.
 type stKey struct {
 	cx, cy, ct int
 }

@@ -14,136 +14,6 @@ var (
 	epoch  = time.Date(2015, 6, 30, 0, 0, 0, 0, time.UTC)
 )
 
-func TestGridWithin(t *testing.T) {
-	g := NewGrid(origin, 50)
-	// Points at known offsets from origin.
-	offsets := []struct {
-		dx, dy float64
-	}{
-		{0, 0},    // id 0: distance 0
-		{30, 40},  // id 1: distance 50
-		{60, 80},  // id 2: distance 100
-		{300, 0},  // id 3: distance 300
-		{-10, -5}, // id 4: distance ~11.2
-	}
-	for i, o := range offsets {
-		g.Insert(geo.Offset(origin, o.dx, o.dy), i)
-	}
-	if g.Len() != 5 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	tests := []struct {
-		radius float64
-		want   []int
-	}{
-		{5, []int{0}},
-		{12, []int{0, 4}},
-		{51, []int{0, 1, 4}},
-		{101, []int{0, 1, 2, 4}},
-		{1000, []int{0, 1, 2, 3, 4}},
-		{-1, nil},
-	}
-	for _, tt := range tests {
-		got := g.Within(origin, tt.radius)
-		if !equalInts(got, tt.want) {
-			t.Errorf("Within(r=%v) = %v, want %v", tt.radius, got, tt.want)
-		}
-	}
-}
-
-func TestGridWithinBruteForceAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := NewGrid(origin, 75)
-	type pt struct {
-		p  geo.Point
-		id int
-	}
-	var pts []pt
-	for i := 0; i < 500; i++ {
-		p := geo.Offset(origin, rng.Float64()*4000-2000, rng.Float64()*4000-2000)
-		g.Insert(p, i)
-		pts = append(pts, pt{p, i})
-	}
-	for trial := 0; trial < 50; trial++ {
-		center := geo.Offset(origin, rng.Float64()*4000-2000, rng.Float64()*4000-2000)
-		radius := rng.Float64() * 500
-		got := g.Within(center, radius)
-		var want []int
-		pr := geo.NewProjector(origin)
-		cv := pr.ToXY(center)
-		for _, e := range pts {
-			if pr.ToXY(e.p).Dist(cv) <= radius {
-				want = append(want, e.id)
-			}
-		}
-		sort.Ints(want)
-		if !equalInts(got, want) {
-			t.Fatalf("trial %d: Within = %v, brute force = %v", trial, got, want)
-		}
-	}
-}
-
-func TestGridNearest(t *testing.T) {
-	g := NewGrid(origin, 50)
-	if _, _, ok := g.Nearest(origin); ok {
-		t.Fatal("Nearest on empty grid should report not-ok")
-	}
-	g.Insert(geo.Offset(origin, 100, 0), 1)
-	g.Insert(geo.Offset(origin, 20, 0), 2)
-	g.Insert(geo.Offset(origin, 3000, 0), 3)
-	id, dist, ok := g.Nearest(origin)
-	if !ok || id != 2 {
-		t.Fatalf("Nearest = %d (ok=%v), want 2", id, ok)
-	}
-	if dist < 19 || dist > 21 {
-		t.Fatalf("Nearest dist = %v, want ~20", dist)
-	}
-	// Query far away from all points: must still find the closest.
-	id, _, ok = g.Nearest(geo.Offset(origin, 10000, 10000))
-	if !ok || id != 3 {
-		t.Fatalf("far Nearest = %d (ok=%v), want 3", id, ok)
-	}
-}
-
-func TestGridNearestBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := NewGrid(origin, 100)
-	pr := geo.NewProjector(origin)
-	var pts []geo.Point
-	for i := 0; i < 300; i++ {
-		p := geo.Offset(origin, rng.Float64()*5000-2500, rng.Float64()*5000-2500)
-		g.Insert(p, i)
-		pts = append(pts, p)
-	}
-	for trial := 0; trial < 30; trial++ {
-		q := geo.Offset(origin, rng.Float64()*6000-3000, rng.Float64()*6000-3000)
-		gotID, gotDist, ok := g.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest should succeed")
-		}
-		qv := pr.ToXY(q)
-		bestID, best := -1, 1e18
-		for i, p := range pts {
-			if d := pr.ToXY(p).Dist(qv); d < best {
-				best, bestID = d, i
-			}
-		}
-		if gotID != bestID {
-			t.Fatalf("trial %d: Nearest = %d (%.2f m), brute force = %d (%.2f m)",
-				trial, gotID, gotDist, bestID, best)
-		}
-	}
-}
-
-func TestGridPanicsOnBadCellSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewGrid(0) should panic")
-		}
-	}()
-	NewGrid(origin, 0)
-}
-
 func TestSTGridWithinST(t *testing.T) {
 	g := NewSTGrid(origin, 100, time.Minute, epoch)
 	at := func(dx float64, offset time.Duration, id int) {
@@ -255,19 +125,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func BenchmarkGridWithin(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := NewGrid(origin, 100)
-	for i := 0; i < 100000; i++ {
-		g.Insert(geo.Offset(origin, rng.Float64()*20000-10000, rng.Float64()*20000-10000), i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Within(origin, 200)
-	}
 }
 
 func BenchmarkSTGridWithinST(b *testing.B) {

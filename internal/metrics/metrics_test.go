@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,8 +66,8 @@ func TestTraceDistortionIgnoresTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Max(ds) > 0.01 {
-		t.Fatalf("time warping should not register as spatial distortion, max=%v", stats.Max(ds))
+	if slices.Max(ds) > 0.01 {
+		t.Fatalf("time warping should not register as spatial distortion, max=%v", slices.Max(ds))
 	}
 }
 
@@ -241,8 +242,8 @@ func TestRangeQueryError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Max(errsSelf) != 0 {
-		t.Fatalf("self query error max = %v", stats.Max(errsSelf))
+	if slices.Max(errsSelf) != 0 {
+		t.Fatalf("self query error max = %v", slices.Max(errsSelf))
 	}
 	// Against an empty-ish (displaced) dataset errors are large.
 	far := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 30, 100, 50000)})

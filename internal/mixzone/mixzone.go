@@ -408,18 +408,6 @@ func applyZones(d *trace.Dataset, zones []Zone, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// OriginalAt returns the original user whose observations the given
-// output identity carries at instant ts, according to the ground-truth
-// segments. ok is false when no segment covers (output, ts).
-func (r *Result) OriginalAt(output string, ts time.Time) (string, bool) {
-	for _, s := range r.Segments {
-		if s.Output == output && !ts.Before(s.From) && !ts.After(s.To) {
-			return s.Original, true
-		}
-	}
-	return "", false
-}
-
 // SwapCount returns how many zones actually permuted identities.
 func (r *Result) SwapCount() int {
 	n := 0

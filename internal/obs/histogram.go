@@ -11,8 +11,8 @@ import (
 // internal/metrics: observations are quantized to integer nanoseconds
 // and binned logarithmically with histSubBins sub-bins per power of
 // two (~4.5% relative resolution) in a fixed 1025-slot array covering
-// the full uint64 range. All state is atomic integers, so Observe and
-// Merge commute exactly.
+// the full uint64 range. All state is atomic integers, so
+// ObserveDuration and Merge commute exactly.
 const (
 	histSubBits = 4
 	histSubBins = 1 << histSubBits   // 16 sub-bins per power of two
@@ -20,9 +20,9 @@ const (
 )
 
 // Histogram is a mergeable, race-safe latency histogram over
-// log-spaced nanosecond buckets. Observations are float64 seconds
-// (the Prometheus convention); they are quantized to nanoseconds
-// internally so the state stays integral and merge-order-invariant.
+// log-spaced nanosecond buckets. Observations are durations, kept as
+// integer nanoseconds so the state stays merge-order-invariant, and
+// exposed in float64 seconds (the Prometheus convention).
 // Obtain instances from NewHistogram or Registry.Histogram.
 type Histogram struct {
 	count atomic.Uint64
@@ -35,38 +35,18 @@ func NewHistogram() *Histogram {
 	return &Histogram{}
 }
 
-// Observe records a single observation of v seconds. Negative and NaN
-// values are clamped to zero.
-func (h *Histogram) Observe(v float64) {
-	ns := v * 1e9
-	var u uint64
-	if ns >= 1 && !math.IsNaN(ns) {
-		if ns >= math.MaxUint64 {
-			u = math.MaxUint64
-		} else {
-			u = uint64(ns)
-		}
-	}
-	h.observeNs(u)
-}
-
-// ObserveDuration records a single duration observation.
+// ObserveDuration records a single duration observation. Negative
+// durations are clamped to zero.
 func (h *Histogram) ObserveDuration(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.observeNs(uint64(d))
-}
-
-func (h *Histogram) observeNs(ns uint64) {
+	ns := uint64(max(d, 0))
 	h.count.Add(1)
 	h.sumNs.Add(ns)
 	h.bins[histBin(ns)].Add(1)
 }
 
-// Merge folds o into h. Observe and Merge commute: any partition of
-// the observations over any number of histograms, merged in any order,
-// yields identical state.
+// Merge folds o into h. ObserveDuration and Merge commute: any
+// partition of the observations over any number of histograms, merged
+// in any order, yields identical state.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil {
 		return
@@ -104,11 +84,12 @@ func (h *Histogram) Snapshot(name, labels string) HistogramSnapshot {
 }
 
 // MergeSnapshot folds a snapshot's exact state (Count, SumNs, Bins)
-// into h. Like Merge it commutes with Observe and with itself: merging
-// per-worker snapshots in any order yields the same histogram a single
-// process would have produced from the same observations — the property
-// the router's fleet-wide /stats aggregation depends on. Bins outside
-// the histogram geometry (a corrupt or foreign snapshot) are dropped.
+// into h. Like Merge it commutes with ObserveDuration and with itself:
+// merging per-worker snapshots in any order yields the same histogram a
+// single process would have produced from the same observations — the
+// property the router's fleet-wide /stats aggregation depends on. Bins
+// outside the histogram geometry (a corrupt or foreign snapshot) are
+// dropped.
 func (h *Histogram) MergeSnapshot(s HistogramSnapshot) {
 	if s.Count == 0 {
 		return

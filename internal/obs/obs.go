@@ -1,5 +1,5 @@
 // Package obs is the observability substrate: a small, dependency-free
-// metrics registry whose instruments — Counter, Gauge and the
+// metrics registry whose stored instruments — Counter and the
 // log-bucketed latency Histogram — are race-safe (lock-free atomics on
 // every hot-path operation) and mergeable, and whose contents are
 // exposed in the Prometheus text format (WritePrometheus) with a
@@ -7,18 +7,21 @@
 //
 // The design mirrors the rest of the codebase's accumulator contract:
 // a Histogram keeps only merge-order-invariant state (integer bucket
-// counts and an integer nanosecond sum), so Observe and Merge commute —
-// any partition of the observations over any number of histograms,
-// merged in any order, yields bit-identical counts, sums and quantiles.
+// counts and an integer nanosecond sum), so ObserveDuration and Merge
+// commute — any partition of the observations over any number of
+// histograms, merged in any order, yields bit-identical counts, sums
+// and quantiles.
 // That is what lets a load driver fan requests over workers, each with
 // a private histogram, and still report deterministic aggregates.
 //
 // Callback instruments (CounterFunc, GaugeFunc) promote counters that
-// already live elsewhere — an engine shard's atomics, a store's scan
-// counters — into scrape-time values without double accounting: the
-// registry never copies them, it reads them. A value served on a JSON
-// endpoint and on /metrics therefore CANNOT disagree when both read
-// the registry, which is how mobiserve keeps /stats truthful.
+// already live elsewhere — an engine shard's atomics, a store writer's
+// totals — into scrape-time values without double accounting: the
+// registry never copies them, it reads them. Every gauge is such a
+// callback; the registry stores no gauge state of its own. A value
+// served on a JSON endpoint and on /metrics therefore CANNOT disagree
+// when both read the registry, which is how mobiserve keeps /stats
+// truthful.
 //
 // Registration is idempotent: asking for the same (name, labels)
 // series again returns the same instrument. Conflicting re-use of a
@@ -28,7 +31,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -59,42 +61,6 @@ func (c *Counter) Add(n uint64) { c.n.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
 
-// Gauge is a float64 value that may go up and down. The zero value is
-// ready to use; obtain shared instances from Registry.Gauge.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (atomic read-modify-write).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// SetMax raises the gauge to v if v is larger — a high-water mark.
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // kind discriminates the exposition type of a family.
 type kind int
 
@@ -122,7 +88,6 @@ type series struct {
 	sig    string // canonical label signature, the sort key
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64 // CounterFunc / GaugeFunc
 }
@@ -136,9 +101,9 @@ type family struct {
 }
 
 // Registry holds metric families and writes them out in Prometheus
-// text format. Instrument operations (Inc, Set, Observe) are lock-free;
-// registration and exposition take the registry lock. Callback metrics
-// must not call back into the registry.
+// text format. Instrument operations (Inc, Add, ObserveDuration) are
+// lock-free; registration and exposition take the registry lock.
+// Callback metrics must not call back into the registry.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -159,16 +124,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// Gauge returns the gauge series (name, labels), creating it on first
-// use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // Histogram returns the histogram series (name, labels), creating it on
 // first use.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
@@ -181,7 +136,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 
 // CounterFunc registers a counter whose value is read from fn at
 // scrape time — the bridge that promotes counters already maintained
-// elsewhere (engine shard atomics, store scan counters) into the
+// elsewhere (engine shard atomics, store writer totals) into the
 // registry without double accounting. fn must be safe for concurrent
 // use and must not touch the registry.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
@@ -216,8 +171,6 @@ func (r *Registry) Value(name string, labels ...Label) (v float64, ok bool) {
 		return s.fn(), true
 	case s.counter != nil:
 		return float64(s.counter.Value()), true
-	case s.gauge != nil:
-		return s.gauge.Value(), true
 	default:
 		return 0, false
 	}

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,16 +19,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	g := 2.5
+	r.GaugeFunc("g", "a gauge", func() float64 { return g })
+	if got, _ := r.Value("g"); got != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", got)
 	}
-	g.SetMax(10)
-	g.SetMax(3)
-	if got := g.Value(); got != 10 {
-		t.Fatalf("gauge after SetMax = %v, want 10", got)
+	g = 1.5
+	if got, _ := r.Value("g"); got != 1.5 {
+		t.Fatalf("gauge = %v, want 1.5 (read at scrape time)", got)
 	}
 }
 
@@ -42,7 +42,7 @@ func TestRegistryIdempotent(t *testing.T) {
 	if c := r.Counter("x_total", "help", L("k", "w")); c == a {
 		t.Fatal("different label value returned same counter")
 	}
-	mustPanic(t, "kind conflict", func() { r.Gauge("x_total", "help") })
+	mustPanic(t, "kind conflict", func() { r.GaugeFunc("x_total", "help", func() float64 { return 0 }) })
 	mustPanic(t, "help conflict", func() { r.Counter("x_total", "other help") })
 	mustPanic(t, "bad name", func() { r.Counter("9bad", "help") })
 	mustPanic(t, "bad label", func() { r.Counter("ok_total", "help", L("bad-label", "v")) })
@@ -63,7 +63,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 func TestRegistryValue(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "h").Add(7)
-	r.Gauge("g", "h", L("shard", "0")).Set(3)
+	r.GaugeFunc("g", "h", func() float64 { return 3 }, L("shard", "0"))
 	n := 41.0
 	r.CounterFunc("fn_total", "h", func() float64 { return n })
 
@@ -93,14 +93,14 @@ func TestRegistryValue(t *testing.T) {
 // number of histograms, merged in any order, yields identical state.
 func TestHistogramMergeOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	obs := make([]float64, 5000)
+	obs := make([]time.Duration, 5000)
 	for i := range obs {
-		obs[i] = rng.ExpFloat64() * 1e-3 // ~ms-scale latencies
+		obs[i] = time.Duration(rng.ExpFloat64() * float64(time.Millisecond)) // ~ms-scale latencies
 	}
 
 	whole := NewHistogram()
 	for _, v := range obs {
-		whole.Observe(v)
+		whole.ObserveDuration(v)
 	}
 
 	// Partition into 7 parts round-robin, merge in a shuffled order.
@@ -109,7 +109,7 @@ func TestHistogramMergeOrderInvariance(t *testing.T) {
 		parts[i] = NewHistogram()
 	}
 	for i, v := range obs {
-		parts[i%len(parts)].Observe(v)
+		parts[i%len(parts)].ObserveDuration(v)
 	}
 	order := rng.Perm(len(parts))
 	merged := NewHistogram()
@@ -163,11 +163,13 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveClamps pins the edge handling for hostile inputs.
+// TestHistogramObserveClamps pins the edge handling for hostile inputs:
+// negative durations land in the zero bin, and the largest duration
+// lands in the top bin without panicking.
 func TestHistogramObserveClamps(t *testing.T) {
 	h := NewHistogram()
-	h.Observe(-1)
-	h.Observe(0)
+	h.ObserveDuration(-1)
+	h.ObserveDuration(0)
 	h.ObserveDuration(-time.Second)
 	if h.Count() != 3 || h.sumNs.Load() != 0 {
 		t.Fatalf("count=%d sumNs=%d after clamped observations", h.Count(), h.sumNs.Load())
@@ -175,9 +177,9 @@ func TestHistogramObserveClamps(t *testing.T) {
 	if h.bins[0].Load() != 3 {
 		t.Fatalf("zero bin = %d, want 3", h.bins[0].Load())
 	}
-	h.Observe(1e300) // overflow clamps to MaxUint64, must not panic
-	if h.Count() != 4 {
-		t.Fatalf("count = %d after overflow observe", h.Count())
+	h.ObserveDuration(math.MaxInt64)
+	if h.Count() != 4 || h.bins[histBin(math.MaxInt64)].Load() != 1 {
+		t.Fatalf("count = %d after max-duration observe", h.Count())
 	}
 }
 
@@ -186,8 +188,8 @@ func TestHistogramObserveClamps(t *testing.T) {
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "h")
-	g := r.Gauge("g", "h")
-	hw := r.Gauge("g_high_water", "h")
+	var depth atomic.Int64
+	r.GaugeFunc("g", "h", func() float64 { return float64(depth.Load()) })
 	h := r.Histogram("h_seconds", "h")
 
 	const workers = 8
@@ -199,8 +201,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
-				hw.SetMax(float64(i))
+				depth.Add(1)
 				h.ObserveDuration(time.Duration(i) * time.Microsecond)
 				// Concurrent registration of the same series must be safe.
 				r.Counter("c_total", "h").Add(0)
@@ -219,11 +220,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := c.Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := g.Value(); got != workers*iters {
+	if got, _ := r.Value("g"); got != workers*iters {
 		t.Fatalf("gauge = %v, want %d", got, workers*iters)
-	}
-	if got := hw.Value(); got != iters-1 {
-		t.Fatalf("high-water gauge = %v, want %d", got, iters-1)
 	}
 	if got := h.Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)

@@ -59,8 +59,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, fam.name, s.sig, formatFloat(s.fn()))
 			case s.counter != nil:
 				writeSample(bw, fam.name, s.sig, strconv.FormatUint(s.counter.Value(), 10))
-			case s.gauge != nil:
-				writeSample(bw, fam.name, s.sig, formatFloat(s.gauge.Value()))
 			}
 		}
 	}

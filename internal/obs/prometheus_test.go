@@ -20,8 +20,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("zz_last_total", "sorts last").Add(1)
 	r.Counter("app_requests_total", "Requests served", L("route", "/ingest")).Add(12)
 	r.Counter("app_requests_total", "Requests served", L("route", "/stats")).Add(3)
-	r.Gauge("app_queue_depth", "Queue depth", L("shard", "0")).Set(4)
-	r.Gauge("app_queue_depth", "Queue depth", L("shard", "1")).Set(7.5)
+	r.GaugeFunc("app_queue_depth", "Queue depth", func() float64 { return 4 }, L("shard", "0"))
+	r.GaugeFunc("app_queue_depth", "Queue depth", func() float64 { return 7.5 }, L("shard", "1"))
 	r.GaugeFunc("app_uptime_seconds", "Uptime", func() float64 { return 42.25 })
 	r.Counter("esc_total", "help with \\ backslash\nand newline",
 		L("v", "quote \" slash \\ nl \n end"),
@@ -123,7 +123,8 @@ func BenchmarkHistogramObserve(b *testing.B) {
 func BenchmarkWritePrometheus(b *testing.B) {
 	r := NewRegistry()
 	for s := 0; s < 8; s++ {
-		r.Gauge("bench_queue_depth", "bench", L("shard", strconv.Itoa(s))).Set(float64(s))
+		depth := float64(s)
+		r.GaugeFunc("bench_queue_depth", "bench", func() float64 { return depth }, L("shard", strconv.Itoa(s)))
 	}
 	r.Counter("bench_points_total", "bench").Add(1 << 20)
 	h := r.Histogram("bench_latency_seconds", "bench")

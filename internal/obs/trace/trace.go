@@ -19,8 +19,8 @@
 // carries a nil *Span through the layers — every Span method is
 // nil-safe and returns immediately. Sampled spans buffer their
 // completed children on the root and publish once the root has ended
-// AND every child handle has been released (Span.Hold/Release let a
-// shard goroutine finish a batch span after the HTTP handler that
+// AND every child has ended (a child holds a reference on the root, so
+// a shard goroutine can finish a batch span after the HTTP handler that
 // started the root has already returned).
 //
 // Completed root spans land in a lock-free bounded ring buffer — the
@@ -342,7 +342,7 @@ type Span struct {
 	childSeq atomic.Uint64
 
 	// Root-only publication state.
-	refs  atomic.Int32 // open handles: self + undone children/holds
+	refs  atomic.Int32 // open handles: self + undone children
 	data  SpanData     // the root's own completed record, set by End
 	mu    sync.Mutex
 	done  []SpanData
@@ -365,14 +365,6 @@ func (s *Span) SpanID() SpanID {
 	return s.id
 }
 
-// Start returns the span's start time (zero for nil).
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // SetAttr annotates the span. Must be called by the span's owning
 // goroutine before End.
 func (s *Span) SetAttr(attrs ...Attr) {
@@ -389,15 +381,6 @@ func (s *Span) SetAttr(attrs ...Attr) {
 // when that happens after the root itself ended (a shard goroutine
 // finishing a batch after the HTTP handler returned).
 func (s *Span) Child(kind string) *Span {
-	return s.child(kind, time.Now())
-}
-
-// ChildAt is Child with an explicit start time.
-func (s *Span) ChildAt(kind string, start time.Time) *Span {
-	return s.child(kind, start)
-}
-
-func (s *Span) child(kind string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
@@ -410,7 +393,7 @@ func (s *Span) child(kind string, start time.Time) *Span {
 		id:     DeriveSpanID(s.trace, s.id, kind, s.childSeq.Add(1)),
 		parent: s.id,
 		kind:   kind,
-		start:  start,
+		start:  time.Now(),
 	}
 }
 
@@ -436,23 +419,6 @@ func (s *Span) Record(kind string, start time.Time, d time.Duration, attrs ...At
 	root.mu.Lock()
 	root.done = append(root.done, data)
 	root.mu.Unlock()
-}
-
-// Hold adds an extra reference on the root, deferring publication
-// until a matching Release — for handing a span to another goroutine
-// that will finish after the creator. Returns s.
-func (s *Span) Hold() *Span {
-	if s != nil {
-		s.root.refs.Add(1)
-	}
-	return s
-}
-
-// Release drops a reference taken by Hold.
-func (s *Span) Release() {
-	if s != nil {
-		s.root.release()
-	}
 }
 
 // End completes the span with the current time.

@@ -124,17 +124,6 @@ func TestRootPublication(t *testing.T) {
 	if rs.Spans[0].Parent != rs.Root.ID {
 		t.Fatalf("child not parented to root")
 	}
-
-	// Hold/Release defers publication the same way.
-	r2 := tr.Root("req2", TraceID{}, 0).Hold()
-	r2.End()
-	if tr.Published() != 1 {
-		t.Fatalf("held root published early")
-	}
-	r2.Release()
-	if tr.Published() != 2 {
-		t.Fatalf("held root not published after release")
-	}
 }
 
 // TestRingWraparound fills the flight recorder past capacity and
@@ -290,7 +279,8 @@ func TestSnapshotGoldenJSON(t *testing.T) {
 
 	root := tr.RootAt("POST /ingest", DeriveID(4, 1), 0, base)
 	root.SetAttr(Int("points", 512))
-	b := root.ChildAt("engine.batch", base.Add(1*time.Millisecond))
+	b := root.Child("engine.batch")
+	b.start = base.Add(1 * time.Millisecond)
 	b.Record("engine.queue_wait", base.Add(1*time.Millisecond), 2*time.Millisecond)
 	b.Record("engine.process", base.Add(3*time.Millisecond), 5*time.Millisecond, Int("points", 512))
 	b.EndAt(base.Add(8 * time.Millisecond))
@@ -483,7 +473,6 @@ func TestNilSpanSafety(t *testing.T) {
 	if c != nil {
 		t.Fatalf("nil span Child returned non-nil")
 	}
-	s.Hold().Release()
 	s.End()
 	if !s.TraceID().IsZero() || s.SpanID() != 0 {
 		t.Fatalf("nil span leaked identity")

@@ -80,16 +80,6 @@ func NewExactAccumulator(cfg poi.Config) (*Accumulator, error) {
 	return a, nil
 }
 
-// Overflows returns how many times the pending buffer overflowed and
-// shed state. Zero means every returned stay is exact.
-func (a *Accumulator) Overflows() int { return a.overflows }
-
-// Reset discards all detector state.
-func (a *Accumulator) Reset() {
-	a.pending = a.pending[:0]
-	a.run = nil
-}
-
 // Push feeds the next observation and returns the stay completed by it,
 // if any. Points must arrive in non-decreasing time order for the
 // batch-equivalence guarantee to hold; out-of-order points are

@@ -68,7 +68,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 				t.Errorf("seed %d cfg %+v: streaming stays differ\n got %v\nwant %v",
 					seed, cfg, got, want)
 			}
-			if acc.Overflows() != 0 {
+			if acc.overflows != 0 {
 				t.Errorf("seed %d: exact accumulator reported overflows", seed)
 			}
 		}
@@ -130,7 +130,7 @@ func TestAccumulatorCapOverflow(t *testing.T) {
 			t.Fatal("no stay should complete below MinDuration")
 		}
 	}
-	if acc.Overflows() == 0 {
+	if acc.overflows == 0 {
 		t.Error("expected pending-buffer overflows with cap 4")
 	}
 	if len(acc.pending) > 4 {
@@ -212,7 +212,7 @@ func FuzzAccumulator(f *testing.F) {
 		if s, ok := capped.Flush(); ok {
 			cgot = append(cgot, s)
 		}
-		if capped.Overflows() == 0 && !reflect.DeepEqual(cgot, want) {
+		if capped.overflows == 0 && !reflect.DeepEqual(cgot, want) {
 			t.Fatalf("capped detector diverged without overflowing")
 		}
 		for _, s := range cgot {

@@ -37,7 +37,8 @@ func TestGridGeometry(t *testing.T) {
 	if d := geo.Distance(box.Center(), center); d > 5 {
 		t.Errorf("grid center off by %v m", d)
 	}
-	if w := box.WidthMeters(); math.Abs(w-6*200) > 5 {
+	midLat := (box.MinLat + box.MaxLat) / 2
+	if w := geo.Distance(geo.Point{Lat: midLat, Lng: box.MinLng}, geo.Point{Lat: midLat, Lng: box.MaxLng}); math.Abs(w-6*200) > 5 {
 		t.Errorf("grid width = %v, want 1200", w)
 	}
 }

@@ -184,10 +184,6 @@ func (rt *Router) Nodes() []string { return append([]string(nil), rt.nodes...) }
 // drift.
 func (rt *Router) NodeOf(user string) int { return rng.Shard(user, len(rt.nodes)) }
 
-// Registry exposes the router's own metrics registry (the /metrics
-// content) for tests and embedding.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
 // Handler returns the router's HTTP API: the mobiserve ingest surface
 // (POST /ingest, POST /flush, GET /stats, GET /metrics, GET /healthz)
 // served fleet-wide.

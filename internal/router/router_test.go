@@ -325,7 +325,7 @@ func TestWorkerDiesMidReplay(t *testing.T) {
 	if !strings.Contains(string(body), dyingName) {
 		t.Errorf("error does not name the dead node: %q", body)
 	}
-	errsVal, ok := rt.Registry().Value("router_upstream_errors", labelNode(dyingName))
+	errsVal, ok := rt.reg.Value("router_upstream_errors", labelNode(dyingName))
 	if !ok {
 		t.Fatal("router_upstream_errors series missing")
 	}
@@ -334,7 +334,7 @@ func TestWorkerDiesMidReplay(t *testing.T) {
 	if errsVal != 3 {
 		t.Errorf("router_upstream_errors = %v, want 3 (1 attempt + 2 retries)", errsVal)
 	}
-	if v, _ := rt.Registry().Value("router_upstream_errors", labelNode(strings.TrimPrefix(stable.hs.URL, "http://"))); v != 0 {
+	if v, _ := rt.reg.Value("router_upstream_errors", labelNode(strings.TrimPrefix(stable.hs.URL, "http://"))); v != 0 {
 		t.Errorf("healthy node accrued %v upstream errors", v)
 	}
 }

@@ -52,17 +52,10 @@ func NewKLL(k int) *KLL {
 	return &KLL{k: k, levels: [][]float64{make([]float64, 0, k+1)}}
 }
 
-// K reports the per-level capacity.
-func (s *KLL) K() int { return s.k }
-
-// Count reports the total number of items added (including through
-// merges).
-func (s *KLL) Count() uint64 { return s.n }
-
 // Exact reports whether the sketch still holds every input verbatim —
-// true exactly while Count() <= K(). In this regime Quantile returns
-// exact order statistics and the state is a pure function of the input
-// multiset.
+// true exactly while at most k items were added. In this regime
+// Quantile returns exact order statistics and the state is a pure
+// function of the input multiset.
 func (s *KLL) Exact() bool { return s.n <= uint64(s.k) }
 
 // Add folds one value into the sketch. NaN is ignored (a quantile over

@@ -27,7 +27,7 @@ func TestKLLExactRegime(t *testing.T) {
 		s.Add(v)
 	}
 	if !s.Exact() {
-		t.Fatalf("n=%d k=%d should be exact", s.Count(), s.K())
+		t.Fatalf("n=%d k=%d should be exact", s.n, s.k)
 	}
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
@@ -70,8 +70,8 @@ func TestKLLOrderInvarianceExact(t *testing.T) {
 	for i := len(parts) - 1; i >= 0; i-- {
 		merged.Merge(parts[i])
 	}
-	if !merged.Exact() || merged.Count() != ref.Count() {
-		t.Fatalf("merged: exact=%v n=%d, want exact n=%d", merged.Exact(), merged.Count(), ref.Count())
+	if !merged.Exact() || merged.n != ref.n {
+		t.Fatalf("merged: exact=%v n=%d, want exact n=%d", merged.Exact(), merged.n, ref.n)
 	}
 	for q := 0.0; q <= 1.0; q += 0.01 {
 		if a, b := ref.Quantile(q), merged.Quantile(q); a != b {
@@ -131,8 +131,8 @@ func TestKLLMergeBeyondCapacity(t *testing.T) {
 	for _, p := range parts {
 		m.Merge(p)
 	}
-	if m.Count() != uint64(len(vals)) {
-		t.Fatalf("count %d, want %d", m.Count(), len(vals))
+	if m.n != uint64(len(vals)) {
+		t.Fatalf("count %d, want %d", m.n, len(vals))
 	}
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
@@ -151,14 +151,14 @@ func TestKLLMergeBeyondCapacity(t *testing.T) {
 // TestKLLEdgeCases covers the empty sketch, NaN, and tiny capacities.
 func TestKLLEdgeCases(t *testing.T) {
 	s := NewKLL(0) // raised to 2
-	if s.K() != 2 {
-		t.Fatalf("K = %d, want 2", s.K())
+	if s.k != 2 {
+		t.Fatalf("K = %d, want 2", s.k)
 	}
 	if got := s.Quantile(0.5); got != 0 {
 		t.Fatalf("empty Quantile = %v, want 0", got)
 	}
 	s.Add(math.NaN())
-	if s.Count() != 0 {
+	if s.n != 0 {
 		t.Fatal("NaN must be ignored")
 	}
 	for i := 0; i < 100; i++ {

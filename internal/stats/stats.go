@@ -1,7 +1,7 @@
 // Package stats provides the small set of descriptive statistics used by
-// the evaluation harness: moments, quantiles, histograms, empirical CDFs
-// and rank correlation. Everything operates on float64 slices and is
-// deliberately allocation-light.
+// the evaluation harness: moments, quantiles, a mergeable quantile
+// sketch (KLL) and rank correlation. Everything operates on float64
+// slices and is deliberately allocation-light.
 package stats
 
 import (
@@ -42,30 +42,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest value; it panics on an empty sample.
-func Min(xs []float64) float64 {
-	mustNonEmpty(xs)
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value; it panics on an empty sample.
-func Max(xs []float64) float64 {
-	mustNonEmpty(xs)
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 func mustNonEmpty(xs []float64) {
 	if len(xs) == 0 {
@@ -143,120 +119,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f",
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from the sample (copied).
-func NewCDF(xs []float64) (*CDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}, nil
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Inverse returns the smallest sample value v with P(X <= v) >= p.
-func (c *CDF) Inverse(p float64) float64 {
-	if p <= 0 {
-		return c.sorted[0]
-	}
-	if p >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	i := int(math.Ceil(p*float64(len(c.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return c.sorted[i]
-}
-
-// Series samples the CDF at n evenly spaced probabilities for plotting,
-// returning (value, probability) pairs.
-func (c *CDF) Series(n int) [][2]float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		out[i] = [2]float64{c.Inverse(p), p}
-	}
-	return out
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64 // range covered
-	Width  float64 // bin width
-	Counts []int   // one per bin
-	Under  int     // values below Lo
-	Over   int     // values at or above Hi
-}
-
-// NewHistogram bins the sample into n equal bins over [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram bins %d <= 0", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Width: (hi - lo) / float64(n), Counts: make([]int, n)}
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			i := int((x - lo) / h.Width)
-			if i >= n { // guard against floating-point edge
-				i = n - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	var n int
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples. It returns 0 when either sample is constant or shorter than 2.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // KendallTau returns the Kendall rank correlation (tau-b, which corrects

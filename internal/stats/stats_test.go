@@ -25,19 +25,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Min(nil) should panic")
-		}
-	}()
-	Min(nil)
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct{ q, want float64 }{
@@ -98,120 +85,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("String should not be empty")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	if _, err := NewCDF(nil); err == nil {
-		t.Fatal("NewCDF(nil) should fail")
-	}
-	c, err := NewCDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tt := range tests {
-		if got := c.At(tt.x); !almostEq(got, tt.want, 1e-12) {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-	if got := c.Inverse(0); got != 1 {
-		t.Errorf("Inverse(0) = %v", got)
-	}
-	if got := c.Inverse(1); got != 3 {
-		t.Errorf("Inverse(1) = %v", got)
-	}
-	if got := c.Inverse(0.5); got != 2 {
-		t.Errorf("Inverse(0.5) = %v", got)
-	}
-	series := c.Series(5)
-	if len(series) != 5 || series[0][1] != 0 || series[4][1] != 1 {
-		t.Errorf("Series = %v", series)
-	}
-	if got := c.Series(1); len(got) != 2 {
-		t.Errorf("Series(<2) should clamp to 2, got %d", len(got))
-	}
-}
-
-// Property: CDF.At is monotone and Inverse is a right-inverse.
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		c, err := NewCDF(raw)
-		if err != nil {
-			return false
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return c.At(a) <= c.At(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.5, 1, 1.5, 2, 5, 10}
-	h, err := NewHistogram(xs, 0, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 3 { // 2, 5, 10 (hi is exclusive)
-		t.Errorf("Over = %d, want 3", h.Over)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d, want 4", h.Total())
-	}
-	wantCounts := []int{2, 1, 1, 0} // [0,0.5): 0,  wait: 0 and 0.5 -> bins 0 and 1
-	// bins: [0,0.5)={0}, [0.5,1)={0.5}, [1,1.5)={1}, [1.5,2)={1.5}
-	wantCounts = []int{1, 1, 1, 1}
-	for i, want := range wantCounts {
-		if h.Counts[i] != want {
-			t.Errorf("Counts[%d] = %d, want %d", i, h.Counts[i], want)
-		}
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 3); err == nil {
-		t.Error("empty range should fail")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := Pearson(xs, ys); !almostEq(got, 1, 1e-12) {
-		t.Errorf("Pearson perfect = %v", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Pearson(xs, neg); !almostEq(got, -1, 1e-12) {
-		t.Errorf("Pearson inverse = %v", got)
-	}
-	if got := Pearson(xs, []float64{1, 1, 1, 1, 1}); got != 0 {
-		t.Errorf("Pearson constant = %v", got)
-	}
-	if got := Pearson(xs, ys[:3]); got != 0 {
-		t.Errorf("Pearson length mismatch = %v", got)
 	}
 }
 

@@ -30,8 +30,6 @@ type blockCache struct {
 	cap   int
 	ll    *list.List // front = most recently used; values are *cacheItem
 	items map[blockKey]*list.Element
-	hits  int64
-	miss  int64
 }
 
 type cacheItem struct {
@@ -59,10 +57,8 @@ func (c *blockCache) get(k blockKey) (cachedBlock, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.miss++
 		return cachedBlock{}, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheItem).val, true
 }
@@ -86,14 +82,4 @@ func (c *blockCache) put(k blockKey, v cachedBlock) {
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*cacheItem).key)
 	}
-}
-
-// stats returns cumulative hit/miss counters.
-func (c *blockCache) stats() (hits, miss int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.miss
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mobipriv/internal/geo"
-	"mobipriv/internal/obs"
 	"mobipriv/internal/par"
 	"mobipriv/internal/trace"
 )
@@ -36,12 +35,6 @@ type Store struct {
 	cache  *blockCache
 
 	closed atomic.Bool
-
-	// Lifetime totals across every scan on this Store, feeding
-	// RegisterMetrics; per-scan deltas live in ScanStats.
-	nPruned  atomic.Int64
-	nDecoded atomic.Int64
-	nBytes   atomic.Int64
 }
 
 // segReader is one opened segment: its file handle plus decoded footer.
@@ -298,7 +291,6 @@ func (s *Store) Scan(ctx context.Context, opts ScanOptions, fn ScanFunc) error {
 				atomic.AddInt64(&stats.BlocksTotal, 1)
 				if s.pruned(e, users, opts) {
 					atomic.AddInt64(&stats.BlocksPruned, 1)
-					s.nPruned.Add(1)
 					continue
 				}
 				user, pts, err := s.block(si, bi, stats, opts.NoCache)
@@ -415,38 +407,10 @@ func (s *Store) block(seg, bi int, stats *ScanStats, noCache bool) (string, []tr
 			user, len(pts), e.user, e.points)
 	}
 	atomic.AddInt64(&stats.BlocksDecoded, 1)
-	s.nDecoded.Add(1)
-	s.nBytes.Add(int64(len(data)))
 	if !noCache {
 		s.cache.put(key, cachedBlock{user: user, pts: pts})
 	}
 	return user, pts, nil
-}
-
-// CacheStats returns the cumulative block-cache hit/miss counters.
-func (s *Store) CacheStats() (hits, misses int64) { return s.cache.stats() }
-
-// RegisterMetrics publishes the store's lifetime read counters on reg
-// under stable mstore_* names. The series are scrape-time views over
-// the same atomics the per-scan ScanStats are folded from, so a JSON
-// stats endpoint and /metrics backed by the same Store cannot
-// disagree. Safe to call at any time.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("mstore_blocks_pruned_total",
-		"Blocks skipped on footer stats without being read.",
-		func() float64 { return float64(s.nPruned.Load()) })
-	reg.CounterFunc("mstore_blocks_decoded_total",
-		"Blocks read from disk, CRC-checked and decoded.",
-		func() float64 { return float64(s.nDecoded.Load()) })
-	reg.CounterFunc("mstore_bytes_read_total",
-		"Encoded block bytes read from segment files.",
-		func() float64 { return float64(s.nBytes.Load()) })
-	reg.CounterFunc("mstore_cache_hits_total",
-		"Block reads served from the LRU block cache.",
-		func() float64 { h, _ := s.cache.stats(); return float64(h) })
-	reg.CounterFunc("mstore_cache_misses_total",
-		"Block reads that missed the LRU block cache.",
-		func() float64 { _, m := s.cache.stats(); return float64(m) })
 }
 
 // Load materializes the whole store as a validated trace.Dataset — the

@@ -38,9 +38,6 @@ type Stay struct {
 	Leave  time.Time
 }
 
-// Duration returns the length of the stay.
-func (s Stay) Duration() time.Duration { return s.Leave.Sub(s.Enter) }
-
 // Generated bundles a synthetic dataset with its ground truth.
 type Generated struct {
 	Dataset *trace.Dataset

@@ -75,8 +75,8 @@ func TestCommutersStaysMatchTrace(t *testing.T) {
 		if s.Leave.Before(s.Enter) {
 			t.Fatalf("stay leaves before entering: %+v", s)
 		}
-		if s.Duration() < MinStayLabel {
-			t.Fatalf("stay shorter than MinStayLabel: %v", s.Duration())
+		if s.Leave.Sub(s.Enter) < MinStayLabel {
+			t.Fatalf("stay shorter than MinStayLabel: %v", s.Leave.Sub(s.Enter))
 		}
 		n := 0
 		for _, p := range tr.Points {

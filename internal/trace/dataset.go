@@ -117,20 +117,6 @@ func (d *Dataset) TimeSpan() (from, to time.Time, ok bool) {
 	return from, to, ok
 }
 
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{
-		traces: make([]*Trace, len(d.traces)),
-		byUser: make(map[string]*Trace, len(d.traces)),
-	}
-	for i, t := range d.traces {
-		cp := t.Clone()
-		out.traces[i] = cp
-		out.byUser[cp.User] = cp
-	}
-	return out
-}
-
 // Validate re-checks every trace invariant plus user uniqueness.
 func (d *Dataset) Validate() error {
 	seen := make(map[string]bool, len(d.traces))

@@ -109,18 +109,6 @@ func TestDatasetBounds(t *testing.T) {
 	}
 }
 
-func TestDatasetCloneIsDeep(t *testing.T) {
-	d := sampleDataset(t)
-	cp := d.Clone()
-	cp.ByUser("alice").Points[0] = P(0, 0, t0.Add(-time.Hour))
-	if d.ByUser("alice").Points[0].Lat == 0 {
-		t.Fatal("Clone must deep-copy traces")
-	}
-	if cp.Len() != d.Len() {
-		t.Fatal("Clone must preserve size")
-	}
-}
-
 func TestDatasetValidate(t *testing.T) {
 	d := sampleDataset(t)
 	if err := d.Validate(); err != nil {
