@@ -119,18 +119,25 @@ func TestSmoothHidesPOIs(t *testing.T) {
 	}
 }
 
-func TestSmoothStaysOnPath(t *testing.T) {
-	tr := stopGoTrace()
-	pl, err := tr.Polyline()
+// pathIndex indexes a trace's path for distance-to-path checks.
+func pathIndex(t *testing.T, tr *trace.Trace) *geo.SegmentIndex {
+	t.Helper()
+	ix, err := geo.NewSegmentIndex(len(tr.Points), func(i int) geo.Point { return tr.Points[i].Point })
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ix
+}
+
+func TestSmoothStaysOnPath(t *testing.T) {
+	tr := stopGoTrace()
+	path := pathIndex(t, tr)
 	out, err := Smooth(tr, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range out.Points {
-		if d := pl.DistanceTo(p.Point); d > 1 {
+		if d := path.DistanceTo(p.Point); d > 1 {
 			t.Fatalf("output point %d is %v m off the original path", i, d)
 		}
 	}
@@ -274,12 +281,9 @@ func TestSmoothSpatialAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opl, err := out.Polyline()
-	if err != nil {
-		t.Fatal(err)
-	}
+	published := pathIndex(t, out)
 	for i, p := range tr.Points {
-		if d := opl.DistanceTo(p.Point); d > 55 { // ~epsilon/2 + noise
+		if d := published.DistanceTo(p.Point); d > 55 { // ~epsilon/2 + noise
 			t.Fatalf("original point %d is %v m from published path", i, d)
 		}
 	}

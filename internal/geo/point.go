@@ -1,7 +1,8 @@
 // Package geo provides the geodesic primitives used throughout mobipriv:
 // WGS84 coordinates, great-circle distances and bearings, destination
-// points, local planar projections, bounding boxes and polyline
-// (arc-length) arithmetic.
+// points, local planar projections, bounding boxes, polyline
+// (arc-length) arithmetic and the nearest-segment search of a path
+// (SegmentIndex).
 //
 // All distances are expressed in meters and all angles in degrees unless
 // stated otherwise. The package deliberately uses a spherical Earth model

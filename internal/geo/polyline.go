@@ -31,9 +31,6 @@ func NewPolyline(pts []Point) (*Polyline, error) {
 	return &Polyline{pts: cp, cum: cum}, nil
 }
 
-// Len returns the number of vertices.
-func (pl *Polyline) Len() int { return len(pl.pts) }
-
 // Length returns the total arc length in meters.
 func (pl *Polyline) Length() float64 { return pl.cum[len(pl.cum)-1] }
 

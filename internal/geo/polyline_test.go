@@ -40,8 +40,8 @@ func TestPolylineLength(t *testing.T) {
 	if got := pl.Length(); math.Abs(got-1000) > 0.01 {
 		t.Fatalf("Length = %v, want 1000", got)
 	}
-	if pl.Len() != 11 {
-		t.Fatalf("Len = %d, want 11", pl.Len())
+	if len(pl.pts) != 11 {
+		t.Fatalf("%d vertices, want 11", len(pl.pts))
 	}
 	if got := pl.cum[5]; math.Abs(got-500) > 0.01 {
 		t.Fatalf("cum[5] = %v, want 500", got)

@@ -32,7 +32,6 @@ type STGrid struct {
 	window time.Duration
 	epoch  time.Time
 	cell   map[stKey][]stEntry
-	n      int
 }
 
 type stEntry struct {
@@ -60,9 +59,6 @@ func NewSTGrid(origin geo.Point, cellSize float64, window time.Duration, epoch t
 	}
 }
 
-// Len returns the number of indexed points.
-func (g *STGrid) Len() int { return g.n }
-
 func (g *STGrid) stkey(v geo.XY, ts time.Time) stKey {
 	return stKey{
 		cx: int(math.Floor(v.X / g.size)),
@@ -76,7 +72,6 @@ func (g *STGrid) Insert(p geo.Point, ts time.Time, id int) {
 	v := g.proj.ToXY(p)
 	k := g.stkey(v, ts)
 	g.cell[k] = append(g.cell[k], stEntry{pos: v, ts: ts, id: id})
-	g.n++
 }
 
 // WithinST returns the identifiers of points within radius meters of p

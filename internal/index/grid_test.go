@@ -23,8 +23,8 @@ func TestSTGridWithinST(t *testing.T) {
 	at(10, 30*time.Second, 1)   // near in space and time
 	at(10, 10*time.Minute, 2)   // near in space, far in time
 	at(5000, 30*time.Second, 3) // far in space, near in time
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d", g.Len())
+	if got := g.WithinST(origin, epoch, 10000, time.Hour); !equalInts(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("WithinST everything = %v, want [0 1 2 3]", got)
 	}
 	got := g.WithinST(origin, epoch, 50, time.Minute)
 	if !equalInts(got, []int{0, 1}) {

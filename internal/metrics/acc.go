@@ -501,9 +501,20 @@ func (a *PopularAcc) Result() (float64, error) {
 // error metric. The query centers are derived from the seed alone (see
 // queryPoints), so two scans of the same data — batch or store-native —
 // count against the identical query set.
+//
+// A point is tested only against the queries of its latitude band: a
+// disc of the radius spans at most radius/R radians of latitude, so
+// the centers are sorted by latitude once and each point
+// binary-searches the band (widened by a relative 1e-9 and 1e-9°, far
+// above rounding). Every pair in the band takes the same FastDistance
+// test as a scan of all queries, and every pair outside it is provably
+// farther than the radius, so the counts are identical.
 type RangeQueryAcc struct {
 	queries   []geo.Point
 	radius    float64
+	band      float64   // half-height of a latitude band, degrees
+	lats      []float64 // query latitudes, ascending
+	byLat     []int     // byLat[j] is the query index of lats[j]
 	orig      []int64
 	anon      []int64
 	origTotal int64
@@ -519,12 +530,30 @@ func NewRangeQueryAcc(box geo.BBox, n int, radius float64, seed int64) (*RangeQu
 	if box.IsEmpty() {
 		return nil, errEmptyOriginal
 	}
+	return newRangeQueryAcc(queryPoints(box, n, seed), radius), nil
+}
+
+// newRangeQueryAcc returns an accumulator for the given query centers,
+// sorted by latitude for the band search.
+func newRangeQueryAcc(queries []geo.Point, radius float64) *RangeQueryAcc {
+	byLat := make([]int, len(queries))
+	for i := range byLat {
+		byLat[i] = i
+	}
+	sort.SliceStable(byLat, func(i, j int) bool { return queries[byLat[i]].Lat < queries[byLat[j]].Lat })
+	lats := make([]float64, len(queries))
+	for j, qi := range byLat {
+		lats[j] = queries[qi].Lat
+	}
 	return &RangeQueryAcc{
-		queries: queryPoints(box, n, seed),
+		queries: queries,
 		radius:  radius,
-		orig:    make([]int64, n),
-		anon:    make([]int64, n),
-	}, nil
+		band:    radius/geo.EarthRadius*(180/math.Pi)*(1+1e-9) + 1e-9,
+		lats:    lats,
+		byLat:   byLat,
+		orig:    make([]int64, len(queries)),
+		anon:    make([]int64, len(queries)),
+	}
 }
 
 // AddPair counts each non-nil side's points against every query disc.
@@ -535,8 +564,10 @@ func (a *RangeQueryAcc) AddPair(orig, anon *trace.Trace) {
 		}
 		*total += int64(tr.Len())
 		for _, p := range tr.Points {
-			for qi, q := range a.queries {
-				if geo.FastDistance(p.Point, q) <= a.radius {
+			hi := p.Lat + a.band
+			for j := sort.SearchFloat64s(a.lats, p.Lat-a.band); j < len(a.lats) && a.lats[j] <= hi; j++ {
+				qi := a.byLat[j]
+				if geo.FastDistance(p.Point, a.queries[qi]) <= a.radius {
 					counts[qi]++
 				}
 			}

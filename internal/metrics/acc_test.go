@@ -350,3 +350,51 @@ func TestRangeQueryAccMatchesFunction(t *testing.T) {
 		t.Fatalf("accumulator errors differ from RangeQueryError:\nwant %v\ngot  %v", want, got)
 	}
 }
+
+// TestRangeQueryBandMatchesBruteForce is the differential wall for the
+// latitude band: its counts must equal a FastDistance test of every
+// point against every query, on points exactly one radius north,
+// south, east or west of a center, centers on the box edges and
+// corners, and random points around the box.
+func TestRangeQueryBandMatchesBruteForce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	box := geo.NewBBox(origin, geo.Offset(origin, 4000, 3000))
+	for _, radius := range []float64{1, 250, 500, 5000} {
+		queries := queryPoints(box, 40, 7)
+		queries = append(queries,
+			geo.Point{Lat: box.MinLat, Lng: box.MinLng}, geo.Point{Lat: box.MaxLat, Lng: box.MaxLng},
+			geo.Point{Lat: box.MinLat, Lng: box.MaxLng}, geo.Point{Lat: box.MaxLat, Lng: box.MinLng},
+			geo.Point{Lat: box.MinLat, Lng: origin.Lng}, geo.Point{Lat: box.MaxLat, Lng: origin.Lng})
+		var pts []trace.Point
+		add := func(p geo.Point) { pts = append(pts, trace.Point{Point: p, Time: time.Unix(int64(len(pts)), 0)}) }
+		for _, q := range queries {
+			add(q)
+			add(geo.Offset(q, 0, radius))
+			add(geo.Offset(q, 0, -radius))
+			add(geo.Offset(q, radius, 0))
+			add(geo.Offset(q, -radius, 0))
+			add(geo.Point{Lat: q.Lat + radius/geo.EarthRadius*180/math.Pi, Lng: q.Lng})
+		}
+		for i := 0; i < 500; i++ {
+			add(geo.Offset(origin, rnd.Float64()*6000-1000, rnd.Float64()*5000-1000))
+		}
+		tr := trace.MustNew("u", pts)
+
+		a := newRangeQueryAcc(queries, radius)
+		a.AddPair(tr, tr)
+		want := make([]int64, len(queries))
+		for _, p := range pts {
+			for qi, q := range queries {
+				if geo.FastDistance(p.Point, q) <= radius {
+					want[qi]++
+				}
+			}
+		}
+		if !reflect.DeepEqual(a.orig, want) || !reflect.DeepEqual(a.anon, want) {
+			t.Fatalf("radius %v: band counts differ from the full scan:\nwant %v\norig %v\nanon %v", radius, want, a.orig, a.anon)
+		}
+		if a.origTotal != int64(len(pts)) || a.anonTotal != int64(len(pts)) {
+			t.Fatalf("radius %v: totals %d/%d, want %d", radius, a.origTotal, a.anonTotal, len(pts))
+		}
+	}
+}

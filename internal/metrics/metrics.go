@@ -14,6 +14,13 @@
 // commute, so any partition of the input merged in any order is
 // bit-identical — which is what lets EvalStore stream two on-disk
 // stores through a worker pool and still match the batch path exactly.
+//
+// The geometry prunes without changing a bit. Distortion and
+// completeness measure each point against a geo.SegmentIndex of the
+// other side's path, which skips only segment groups a lower bound
+// proves too far and is bit-identical to scanning every segment.
+// RangeQueryAcc tests each point only against the query centers in its
+// latitude band, which yields the counts of testing every center.
 package metrics
 
 import (
@@ -21,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mobipriv/internal/geo"
 	"mobipriv/internal/stats"
 	"mobipriv/internal/trace"
 )
@@ -39,13 +47,13 @@ var (
 // ignored, because the mechanism under evaluation distorts time by
 // design).
 func TraceDistortion(orig, anon *trace.Trace) ([]float64, error) {
-	pl, err := orig.Polyline()
+	ix, err := pathIndex(orig)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: original path: %w", err)
 	}
 	out := make([]float64, anon.Len())
 	for i, p := range anon.Points {
-		out[i] = pl.DistanceTo(p.Point)
+		out[i] = ix.DistanceTo(p.Point)
 	}
 	return out, nil
 }
@@ -55,15 +63,20 @@ func TraceDistortion(orig, anon *trace.Trace) ([]float64, error) {
 // parts of the original journey are missing from the publication
 // (trimming, suppression, heavy perturbation).
 func CompletenessDistortion(orig, anon *trace.Trace) ([]float64, error) {
-	pl, err := anon.Polyline()
+	ix, err := pathIndex(anon)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: published path: %w", err)
 	}
 	out := make([]float64, orig.Len())
 	for i, p := range orig.Points {
-		out[i] = pl.DistanceTo(p.Point)
+		out[i] = ix.DistanceTo(p.Point)
 	}
 	return out, nil
+}
+
+// pathIndex indexes a trace's path for nearest-segment queries.
+func pathIndex(tr *trace.Trace) (*geo.SegmentIndex, error) {
+	return geo.NewSegmentIndex(len(tr.Points), func(i int) geo.Point { return tr.Points[i].Point })
 }
 
 // DatasetDistortion pools TraceDistortion over all users present in both

@@ -175,11 +175,6 @@ func (t *Trace) Bounds() geo.BBox {
 	return box
 }
 
-// Polyline returns the trace geometry as a geo.Polyline.
-func (t *Trace) Polyline() (*geo.Polyline, error) {
-	return geo.NewPolyline(t.Positions())
-}
-
 // Crop returns a copy of the trace restricted to observations with
 // from <= Time <= to, or nil if none fall in the window.
 func (t *Trace) Crop(from, to time.Time) *Trace {

@@ -211,7 +211,7 @@ func TestBoundsAndPolyline(t *testing.T) {
 			t.Errorf("bounds should contain %v", p)
 		}
 	}
-	pl, err := tr.Polyline()
+	pl, err := geo.NewPolyline(tr.Positions())
 	if err != nil {
 		t.Fatal(err)
 	}
