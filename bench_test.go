@@ -318,9 +318,7 @@ func BenchmarkStreamEngineTrace(b *testing.B) {
 func BenchmarkStreamEngineGeoI(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchStreamEngine(b, shards, false, nil, func(user string) stream.Mechanism {
-				return stream.GeoI{Epsilon: 0.01, Seed: 1}.New(user)
-			})
+			benchStreamEngine(b, shards, false, nil, stream.GeoI{Epsilon: 0.01, Seed: 1}.Factory())
 		})
 	}
 }
@@ -358,7 +356,7 @@ func BenchmarkGeoI(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := geoind.PerturbDataset(d, geoind.DefaultConfig()); err != nil {
+		if _, err := geoind.PerturbDataset(d, geoind.Config{Epsilon: 0.01, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

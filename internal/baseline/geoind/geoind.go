@@ -35,10 +35,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the mid-range operating point used in the
-// experiments (expected displacement 2/0.01 = 200 m).
-func DefaultConfig() Config { return Config{Epsilon: 0.01, Seed: 1} }
-
 func (c Config) validate() error {
 	if c.Epsilon <= 0 || math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) {
 		return errors.New("geoind: Epsilon must be a positive finite number")
@@ -47,18 +43,10 @@ func (c Config) validate() error {
 }
 
 // Mechanism perturbs traces with planar Laplace noise. Create it with
-// New; it is not safe for concurrent use (it owns a rand.Rand).
+// NewForUser; it is not safe for concurrent use (it owns a rand.Rand).
 type Mechanism struct {
 	cfg Config
 	rng *rand.Rand
-}
-
-// New returns a mechanism with the given configuration.
-func New(cfg Config) (*Mechanism, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Mechanism{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
 // NewForUser returns a mechanism whose noise stream is derived from

@@ -77,7 +77,7 @@ func TestInverseCDFMonotoneAndMedian(t *testing.T) {
 
 func TestSampleNoiseMeanDisplacement(t *testing.T) {
 	// E[r] = 2/ε. With ε=0.01 → 200 m. 20k samples give a tight mean.
-	m, err := New(Config{Epsilon: 0.01, Seed: 7})
+	m, err := NewForUser(Config{Epsilon: 0.01, Seed: 7}, "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSampleNoiseMeanDisplacement(t *testing.T) {
 }
 
 func TestSampleNoiseIsotropic(t *testing.T) {
-	m, err := New(Config{Epsilon: 0.01, Seed: 3})
+	m, err := NewForUser(Config{Epsilon: 0.01, Seed: 3}, "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPerturbPreservesTimesAndUser(t *testing.T) {
 		{Point: geo.Offset(origin, 200, 0), Time: t0.Add(2 * time.Minute)},
 	}
 	tr := trace.MustNew("u", pts)
-	m, err := New(DefaultConfig())
+	m, err := NewForUser(Config{Epsilon: 0.01, Seed: 1}, "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestPerturbDeterministicPerSeed(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := New(Config{Epsilon: eps}); err == nil {
+		if _, err := NewForUser(Config{Epsilon: eps}, "u"); err == nil {
 			t.Errorf("Epsilon=%v accepted", eps)
 		}
 	}
@@ -195,7 +195,7 @@ func TestExpectedDisplacement(t *testing.T) {
 func TestEpsilonScaling(t *testing.T) {
 	// Doubling epsilon halves the expected displacement.
 	sample := func(eps float64) float64 {
-		m, err := New(Config{Epsilon: eps, Seed: 11})
+		m, err := NewForUser(Config{Epsilon: eps, Seed: 11}, "u")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestEpsilonScaling(t *testing.T) {
 }
 
 func BenchmarkPerturbPoint(b *testing.B) {
-	m, err := New(DefaultConfig())
+	m, err := NewForUser(Config{Epsilon: 0.01, Seed: 1}, "u")
 	if err != nil {
 		b.Fatal(err)
 	}

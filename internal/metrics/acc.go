@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"mobipriv/internal/geo"
@@ -52,50 +51,21 @@ func (a u128) toFloat() float64 {
 	return float64(a.hi)*0x1p64 + float64(a.lo)
 }
 
-// Distortion histogram geometry: distances are quantized to micrometers
-// and binned logarithmically, 16 sub-bins per power of two (~4.5%
-// relative resolution). Quantiles read from the histogram are therefore
-// approximate to that resolution, while counts, the mean (exact integer
-// sum) and min/max are exact.
-const (
-	distSubBits = 4
-	distSubBins = 1 << distSubBits
-	distBins    = 1 + 64*distSubBins
-)
-
-// distBin maps a micrometer distance to its histogram bin.
-func distBin(um uint64) int {
-	if um == 0 {
-		return 0
-	}
-	l := bits.Len64(um)
-	var sub uint64
-	if l > distSubBits+1 {
-		sub = (um >> uint(l-1-distSubBits)) & (distSubBins - 1)
-	} else {
-		sub = (um << uint(distSubBits+1-l)) & (distSubBins - 1)
-	}
-	return 1 + (l-1)*distSubBins + int(sub)
-}
-
-// distBinEdge returns the lower edge of a bin, in meters.
-func distBinEdge(bin int) float64 {
-	if bin == 0 {
-		return 0
-	}
-	l := (bin - 1) / distSubBins
-	sub := (bin - 1) % distSubBins
-	return math.Ldexp(1+float64(sub)/distSubBins, l) * 1e-6
-}
+// Distortion histogram: distances are quantized to micrometers and
+// binned on the stats log-bin geometry (~4.5% relative resolution).
+// Quantiles read from the histogram are therefore approximate to that
+// resolution, while counts, the mean (exact integer sum) and min/max
+// are exact. Up to distExactCap pooled samples the quantiles are exact
+// instead: DistortionAcc keeps every sample until the pool outgrows it.
+const distExactCap = 256
 
 // DistSummary is the streaming summary of a pooled distance sample.
 type DistSummary struct {
 	N        int64
 	Mean     float64 // exact (integer-sum) mean
 	Min, Max float64 // exact
-	// P50 and P95 are exact order statistics while the pool fits the
-	// KLL sketch (n <= stats.DefaultKLLK), histogram quantiles (~4.5%
-	// relative resolution) beyond.
+	// P50 and P95 are exact order statistics up to 256 samples, log-bin
+	// histogram quantiles (~4.5% relative resolution) beyond.
 	P50, P95 float64
 }
 
@@ -104,14 +74,13 @@ type DistSummary struct {
 // CompletenessDistortion). Only users present on both sides contribute,
 // so one-sided AddPair calls are no-ops.
 //
-// Quantiles come from two complementary stores. A fixed-size KLL
-// sketch (stats.KLL) holds the raw samples verbatim while the pool is
-// small — the exact regime, where P50/P95 are exact order statistics —
-// and the log-binned histogram answers once the pool outgrows the
-// sketch, at its ~4.5% resolution. Both stores are merge-order
-// invariant in the regime they serve (a multiset below capacity,
-// integer bucket counts above), and the regime switch depends only on
-// the total count, so AddPair and Merge still commute bit-identically.
+// Quantiles are exact up to 256 samples and come from log bins beyond:
+// the accumulator keeps every pooled sample, so P50/P95 are exact order
+// statistics, until the pool passes 256; then it drops them and the
+// micrometer log-bin histogram answers at its ~4.5% resolution. A
+// multiset and integer bin counts are both merge-order invariant, and
+// the regime depends only on the total count, so AddPair and Merge
+// still commute bit-identically.
 type DistortionAcc struct {
 	reverse bool // completeness: original points vs published path
 	n       int64
@@ -119,19 +88,19 @@ type DistortionAcc struct {
 	min     float64
 	max     float64
 	hist    []int64
-	sketch  *stats.KLL
+	exact   []float64 // every sample while n <= distExactCap, else nil
 }
 
 // NewDistortionAcc returns an accumulator for the published-vs-original
 // distortion direction.
 func NewDistortionAcc() *DistortionAcc {
-	return &DistortionAcc{hist: make([]int64, distBins), sketch: stats.NewKLL(stats.DefaultKLLK)}
+	return &DistortionAcc{hist: make([]int64, stats.LogBins)}
 }
 
 // NewCompletenessAcc returns an accumulator for the opposite direction:
 // every original point's distance to the published path.
 func NewCompletenessAcc() *DistortionAcc {
-	return &DistortionAcc{reverse: true, hist: make([]int64, distBins), sketch: stats.NewKLL(stats.DefaultKLLK)}
+	return &DistortionAcc{reverse: true, hist: make([]int64, stats.LogBins)}
 }
 
 // AddPair folds one user's distortion samples into the accumulator.
@@ -157,7 +126,7 @@ func (a *DistortionAcc) AddPair(orig, anon *trace.Trace) error {
 }
 
 func (a *DistortionAcc) add(d float64) {
-	if math.IsNaN(d) || d < 0 {
+	if !(d > 0) { // NaN, negatives and -0 all pool as +0
 		d = 0
 	}
 	if a.n == 0 || d < a.min {
@@ -169,8 +138,12 @@ func (a *DistortionAcc) add(d float64) {
 	a.n++
 	um := uint64(math.Round(d * 1e6))
 	a.sum.add(um)
-	a.hist[distBin(um)]++
-	a.sketch.Add(d)
+	a.hist[stats.LogBin(um)]++
+	if a.n <= distExactCap {
+		a.exact = append(a.exact, d)
+	} else {
+		a.exact = nil
+	}
 }
 
 // Merge folds another accumulator of the same direction into a.
@@ -189,37 +162,29 @@ func (a *DistortionAcc) Merge(b *DistortionAcc) {
 	for i, c := range b.hist {
 		a.hist[i] += c
 	}
-	a.sketch.Merge(b.sketch)
+	if a.n <= distExactCap {
+		a.exact = append(a.exact, b.exact...)
+	} else {
+		a.exact = nil
+	}
 }
 
-// quantile returns the sample quantile: exact (from the KLL sketch's
-// verbatim samples) while the pool is within the sketch's capacity,
-// the log-histogram's lower bin edge clamped to the exact [min, max]
-// envelope beyond. The regime depends only on the total count, so
-// partitioned-and-merged accumulators agree with serial ones exactly.
+// quantile returns the sample quantile at rank floor(q*(n-1)): the
+// exact order statistic while every sample is kept, the log-histogram's
+// lower bin edge clamped to the exact [min, max] envelope beyond. The
+// regime depends only on the total count, so partitioned-and-merged
+// accumulators agree with serial ones exactly.
 func (a *DistortionAcc) quantile(q float64) float64 {
 	if a.n == 0 {
 		return 0
 	}
-	if a.sketch.Exact() {
-		return a.sketch.Quantile(q)
+	if a.exact != nil {
+		s := append([]float64(nil), a.exact...)
+		sort.Float64s(s)
+		return s[int64(q*float64(len(s)-1))]
 	}
-	rank := int64(q * float64(a.n-1))
-	var cum int64
-	for b, c := range a.hist {
-		cum += c
-		if cum > rank {
-			v := distBinEdge(b)
-			if v < a.min {
-				v = a.min
-			}
-			if v > a.max {
-				v = a.max
-			}
-			return v
-		}
-	}
-	return a.max
+	b := stats.LogBinRank(uint64(a.n), q, func(b int) uint64 { return uint64(a.hist[b]) })
+	return min(max(stats.LogBinEdge(b)*1e-6, a.min), a.max)
 }
 
 // Summary returns the streaming summary; the zero summary when no

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -161,39 +163,47 @@ func quantileOf(xs []float64, q float64) float64 {
 }
 
 // TestDistortionAccSketchRegimes pins the two-regime quantile contract:
-// under the KLL capacity the quantiles are exact order statistics, and
-// in BOTH regimes any partition of the samples merged in any order
-// reproduces the serial summary bit-for-bit.
+// up to 256 samples the quantiles are exact order statistics, and in
+// BOTH regimes any partition of the samples merged in any order
+// reproduces the serial summary bit-for-bit — including merges of exact
+// parts whose union crosses the boundary.
 func TestDistortionAccSketchRegimes(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
+	values := func(n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = rnd.Float64() * 900
+		}
+		return vals
+	}
+	serialOf := func(vals []float64) DistSummary {
+		acc := NewDistortionAcc()
+		for _, v := range vals {
+			acc.add(v)
+		}
+		return acc.Summary()
+	}
 	for _, tc := range []struct {
 		name  string
 		n     int
 		exact bool
 	}{
-		{"exact", 100, true},       // within stats.DefaultKLLK
-		{"histogram", 5000, false}, // beyond capacity
+		{"exact", 100, true},
+		{"n=256", 256, true},  // the last exact pool
+		{"n=257", 257, false}, // the first histogram pool
+		{"histogram", 5000, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			vals := make([]float64, tc.n)
-			for i := range vals {
-				vals[i] = rnd.Float64() * 900
-			}
-			serial := NewDistortionAcc()
-			for _, v := range vals {
-				serial.add(v)
-			}
-			want := serial.Summary()
+			vals := values(tc.n)
+			want := serialOf(vals)
 
-			if tc.exact {
-				sorted := append([]float64(nil), vals...)
-				sort.Float64s(sorted)
-				p50 := sorted[int(0.5*float64(len(sorted)-1))]
-				p95 := sorted[int(0.95*float64(len(sorted)-1))]
-				if want.P50 != p50 || want.P95 != p95 {
-					t.Fatalf("exact-regime quantiles %v/%v, want order statistics %v/%v",
-						want.P50, want.P95, p50, p95)
-				}
+			sorted := append([]float64(nil), vals...)
+			sort.Float64s(sorted)
+			p50 := sorted[int(0.5*float64(len(sorted)-1))]
+			p95 := sorted[int(0.95*float64(len(sorted)-1))]
+			if exact := want.P50 == p50 && want.P95 == p95; exact != tc.exact {
+				t.Fatalf("quantiles %v/%v vs order statistics %v/%v: exact = %v, want %v",
+					want.P50, want.P95, p50, p95, exact, tc.exact)
 			}
 
 			for _, parts := range []int{2, 5} {
@@ -216,6 +226,87 @@ func TestDistortionAccSketchRegimes(t *testing.T) {
 			}
 		})
 	}
+	// Two exact parts whose union lands on, or crosses, the boundary,
+	// merged in both orders.
+	for _, split := range [][2]int{{200, 56}, {200, 57}, {200, 100}} {
+		vals := values(split[0] + split[1])
+		want := serialOf(vals)
+		for _, swap := range []bool{false, true} {
+			a, b := NewDistortionAcc(), NewDistortionAcc()
+			for i, v := range vals {
+				if i < split[0] {
+					a.add(v)
+				} else {
+					b.add(v)
+				}
+			}
+			if swap {
+				a, b = b, a
+			}
+			a.Merge(b)
+			if got := a.Summary(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%d+%d (swap=%v): merged summary %+v != serial %+v", split[0], split[1], swap, got, want)
+			}
+		}
+	}
+}
+
+// FuzzDistortionAccMerge checks the determinism contract on arbitrary
+// float64 samples (NaN, ±Inf, -0, subnormals, huge values): the data
+// is read as 9-byte records, 8 bytes of float64 bits plus 1 byte that
+// picks one of 1–5 accumulators, and order seeds the merge order. The
+// merged summary must equal the serial one on the bits of every field,
+// which reflect.DeepEqual cannot check (it calls -0 equal to +0).
+func FuzzDistortionAccMerge(f *testing.F) {
+	record := func(v float64, part byte) []byte {
+		return append(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)), part)
+	}
+	var special []byte
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -1, 1e300, 0.5, 3.25} {
+		special = append(special, record(v, byte(i))...)
+	}
+	zeros := slices.Concat(record(0, 0), record(math.Copysign(0, -1), 1), record(0, 1), record(math.Copysign(0, -1), 0))
+	rnd := rand.New(rand.NewSource(5))
+	randomRecords := func(n int) []byte {
+		var b []byte
+		for i := 0; i < n; i++ {
+			b = append(b, record(rnd.Float64()*900, byte(rnd.Intn(256)))...)
+		}
+		return b
+	}
+	for order := int64(0); order < 4; order++ {
+		f.Add(uint8(2), order, special)
+		f.Add(uint8(1), order, zeros)
+		f.Add(uint8(1), order, randomRecords(300)) // exact parts, union past 256
+	}
+	f.Add(uint8(4), int64(7), randomRecords(256))
+	f.Add(uint8(3), int64(9), randomRecords(257))
+	f.Fuzz(func(t *testing.T, split uint8, order int64, data []byte) {
+		accs := make([]*DistortionAcc, 1+int(split%5))
+		for i := range accs {
+			accs[i] = NewDistortionAcc()
+		}
+		serial := NewDistortionAcc()
+		for b := data; len(b) >= 9; b = b[9:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+			serial.add(v)
+			accs[int(b[8])%len(accs)].add(v)
+		}
+		perm := rand.New(rand.NewSource(order)).Perm(len(accs))
+		root := accs[perm[0]]
+		for _, i := range perm[1:] {
+			root.Merge(accs[i])
+		}
+		want, got := serial.Summary(), root.Summary()
+		bits := func(s DistSummary) [6]uint64 {
+			return [6]uint64{uint64(s.N), math.Float64bits(s.Mean), math.Float64bits(s.Min),
+				math.Float64bits(s.Max), math.Float64bits(s.P50), math.Float64bits(s.P95)}
+		}
+		if bits(got) != bits(want) {
+			t.Fatalf("%d parts, merge order %v: merged summary %+v != serial %+v", len(accs), perm, got, want)
+		}
+	})
 }
 
 // TestDistortionAccIdentity pins the all-zero case: evaluating a
@@ -229,32 +320,6 @@ func TestDistortionAccIdentity(t *testing.T) {
 	s := acc.Summary()
 	if s.Mean > 1e-9 || s.P50 != 0 || s.P95 != 0 || s.Max > 1e-9 {
 		t.Fatalf("self distortion summary %+v, want all ~0", s)
-	}
-}
-
-// TestDistBinMonotonic pins the histogram bin geometry: binning is
-// monotone in the value and edges invert to the bin's own range.
-func TestDistBinMonotonic(t *testing.T) {
-	prev := -1
-	for _, um := range []uint64{0, 1, 2, 3, 15, 16, 17, 100, 1000, 1e6, 5e6, 1e9, 1e12, math.MaxUint64} {
-		b := distBin(um)
-		if b < prev {
-			t.Fatalf("distBin(%d) = %d < previous %d", um, b, prev)
-		}
-		prev = b
-		if b >= distBins {
-			t.Fatalf("distBin(%d) = %d out of range", um, b)
-		}
-		if um > 0 {
-			edge := distBinEdge(b)
-			v := float64(um) * 1e-6
-			if edge > v*1.0001 {
-				t.Fatalf("edge(%d)=%v above value %v", b, edge, v)
-			}
-			if v > edge*2.2 {
-				t.Fatalf("edge(%d)=%v too far below value %v", b, edge, v)
-			}
-		}
 	}
 }
 

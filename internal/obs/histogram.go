@@ -1,33 +1,23 @@
 package obs
 
 import (
-	"math"
-	"math/bits"
 	"sync/atomic"
 	"time"
-)
 
-// Histogram bucketing reuses the DistortionAcc geometry from
-// internal/metrics: observations are quantized to integer nanoseconds
-// and binned logarithmically with histSubBins sub-bins per power of
-// two (~4.5% relative resolution) in a fixed 1025-slot array covering
-// the full uint64 range. All state is atomic integers, so
-// ObserveDuration and Merge commute exactly.
-const (
-	histSubBits = 4
-	histSubBins = 1 << histSubBits   // 16 sub-bins per power of two
-	histBins    = 1 + 64*histSubBins // bin 0 reserved for zero
+	"mobipriv/internal/stats"
 )
 
 // Histogram is a mergeable, race-safe latency histogram over
-// log-spaced nanosecond buckets. Observations are durations, kept as
-// integer nanoseconds so the state stays merge-order-invariant, and
-// exposed in float64 seconds (the Prometheus convention).
+// log-spaced nanosecond buckets: observations are quantized to integer
+// nanoseconds and binned on the stats log-bin geometry (~4.5% relative
+// resolution, the full uint64 range). All state is atomic integers, so
+// ObserveDuration and Merge commute exactly. Values are exposed in
+// float64 seconds (the Prometheus convention).
 // Obtain instances from NewHistogram or Registry.Histogram.
 type Histogram struct {
 	count atomic.Uint64
 	sumNs atomic.Uint64
-	bins  [histBins]atomic.Uint64
+	bins  [stats.LogBins]atomic.Uint64
 }
 
 // NewHistogram returns an empty histogram.
@@ -41,7 +31,7 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	ns := uint64(max(d, 0))
 	h.count.Add(1)
 	h.sumNs.Add(ns)
-	h.bins[histBin(ns)].Add(1)
+	h.bins[stats.LogBin(ns)].Add(1)
 }
 
 // Merge folds o into h. ObserveDuration and Merge commute: any
@@ -97,7 +87,7 @@ func (h *Histogram) MergeSnapshot(s HistogramSnapshot) {
 	h.count.Add(s.Count)
 	h.sumNs.Add(s.SumNs)
 	for _, b := range s.Bins {
-		if b.Bin >= 0 && b.Bin < histBins && b.Count != 0 {
+		if b.Bin >= 0 && b.Bin < stats.LogBins && b.Count != 0 {
 			h.bins[b.Bin].Add(b.Count)
 		}
 	}
@@ -118,45 +108,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(n-1))
-	var cum uint64
-	for i := 0; i < histBins; i++ {
-		cum += h.bins[i].Load()
-		if cum > rank {
-			return histBinEdge(i)
-		}
-	}
-	return histBinEdge(histBins - 1)
-}
-
-// histBin maps a nanosecond value to its histogram bin; mirrors
-// distBin in internal/metrics.
-func histBin(ns uint64) int {
-	if ns == 0 {
-		return 0
-	}
-	l := bits.Len64(ns)
-	var sub uint64
-	if l > histSubBits+1 {
-		sub = (ns >> uint(l-1-histSubBits)) & (histSubBins - 1)
-	} else {
-		sub = (ns << uint(histSubBits+1-l)) & (histSubBins - 1)
-	}
-	return 1 + (l-1)*histSubBins + int(sub)
-}
-
-// histBinEdge returns the lower edge of a bin, in seconds; mirrors
-// distBinEdge in internal/metrics.
-func histBinEdge(bin int) float64 {
-	if bin == 0 {
-		return 0
-	}
-	l := (bin - 1) / histSubBins
-	sub := (bin - 1) % histSubBins
-	return math.Ldexp(1+float64(sub)/histSubBins, l) * 1e-9
+	b := stats.LogBinRank(n, q, func(b int) uint64 { return h.bins[b].Load() })
+	return stats.LogBinEdge(b) * 1e-9
 }

@@ -1,9 +1,9 @@
-// Package obs is the observability substrate: a small, dependency-free
-// metrics registry whose stored instruments — Counter and the
-// log-bucketed latency Histogram — are race-safe (lock-free atomics on
-// every hot-path operation) and mergeable, and whose contents are
-// exposed in the Prometheus text format (WritePrometheus) with a
-// stable, golden-testable ordering.
+// Package obs is the observability substrate: a small metrics registry
+// that imports only the standard library and internal/stats. Its stored
+// instruments — Counter and the log-bucketed latency Histogram — are
+// race-safe (lock-free atomics on every hot-path operation) and
+// mergeable, and its contents are exposed in the Prometheus text format
+// (WritePrometheus) with a stable, golden-testable ordering.
 //
 // The design mirrors the rest of the codebase's accumulator contract:
 // a Histogram keeps only merge-order-invariant state (integer bucket

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mobipriv/internal/stats"
 )
 
 // TestCounterGaugeBasics pins the elementary instrument semantics.
@@ -178,7 +180,7 @@ func TestHistogramObserveClamps(t *testing.T) {
 		t.Fatalf("zero bin = %d, want 3", h.bins[0].Load())
 	}
 	h.ObserveDuration(math.MaxInt64)
-	if h.Count() != 4 || h.bins[histBin(math.MaxInt64)].Load() != 1 {
+	if h.Count() != 4 || h.bins[stats.LogBin(math.MaxInt64)].Load() != 1 {
 		t.Fatalf("count = %d after max-duration observe", h.Count())
 	}
 }

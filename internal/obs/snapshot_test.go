@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"mobipriv/internal/stats"
 )
 
 // TestSnapshotRoundTrip asserts the wire contract the multi-node
@@ -61,7 +63,7 @@ func TestMergeSnapshotIgnoresForeignBins(t *testing.T) {
 	h.MergeSnapshot(HistogramSnapshot{
 		Count: 3,
 		SumNs: 300,
-		Bins:  []HistogramBin{{Bin: -1, Count: 1}, {Bin: histBins, Count: 1}, {Bin: 5, Count: 1}},
+		Bins:  []HistogramBin{{Bin: -1, Count: 1}, {Bin: stats.LogBins, Count: 1}, {Bin: 5, Count: 1}},
 	})
 	if h.Count() != 3 {
 		t.Errorf("count = %d, want 3", h.Count())

@@ -130,11 +130,6 @@ type POI struct {
 	TotalTime time.Duration // total time spent across all visits
 }
 
-// String implements fmt.Stringer.
-func (p POI) String() string {
-	return fmt.Sprintf("POI{%s visits=%d time=%s}", p.Center, p.Visits, p.TotalTime)
-}
-
 // Cluster merges stays whose centers are within mergeRadius of each
 // other (transitively, via union-find) into POIs. The POI center is the
 // duration-weighted centroid of its stays; output order is by decreasing

@@ -217,13 +217,6 @@ func TestExtractOnSyntheticCommuters(t *testing.T) {
 	}
 }
 
-func TestPOIString(t *testing.T) {
-	p := POI{Center: origin, Visits: 3, TotalTime: time.Hour}
-	if p.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func BenchmarkStays(b *testing.B) {
 	cfg := synth.DefaultCommuterConfig()
 	cfg.Users = 1

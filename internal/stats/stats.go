@@ -1,7 +1,8 @@
 // Package stats provides the small set of descriptive statistics used by
-// the evaluation harness: moments, quantiles, a mergeable quantile
-// sketch (KLL) and rank correlation. Everything operates on float64
-// slices and is deliberately allocation-light.
+// the evaluation harness: moments, quantiles and rank correlation, which
+// operate on float64 slices and are deliberately allocation-light, and
+// the log-bin geometry (LogBin, LogBinEdge, LogBinRank) that the
+// mergeable histograms of internal/metrics and internal/obs share.
 package stats
 
 import (
@@ -113,12 +114,6 @@ func Summarize(xs []float64) Summary {
 		P99:    quantileSorted(sorted, 0.99),
 		Max:    sorted[len(sorted)-1],
 	}
-}
-
-// String implements fmt.Stringer with a compact one-line format.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }
 
 // KendallTau returns the Kendall rank correlation (tau-b, which corrects

@@ -83,9 +83,6 @@ func TestSummarize(t *testing.T) {
 	if s.P25 != 25 || s.P75 != 75 || s.P95 != 95 || s.P99 != 99 {
 		t.Errorf("quantiles = %+v", s)
 	}
-	if s.String() == "" {
-		t.Error("String should not be empty")
-	}
 }
 
 func TestKendallTau(t *testing.T) {

@@ -25,15 +25,6 @@ type GeoI struct {
 	Seed int64
 }
 
-// New returns the streaming state for one user's FIRST lifetime — the
-// noise stream that reproduces the batch baseline. It panics on an
-// invalid Epsilon (registration-time misconfiguration, like Register).
-// Engines whose users can be flushed and return must create state
-// through Factory instead, which advances the noise per lifetime.
-func (c GeoI) New(user string) Mechanism {
-	return c.newIncarnation(user, 0)
-}
-
 // Factory returns a concurrency-safe factory giving each lifetime
 // ("incarnation") of a user an independent noise stream. The first
 // lifetime derives exactly the batch stream, so single-pass replay of a
@@ -74,6 +65,9 @@ func (c GeoI) Factory() Factory {
 	}
 }
 
+// newIncarnation returns the state for a user's n-th lifetime; n = 0
+// is the batch-identical stream. It panics on an invalid Epsilon
+// (registration-time misconfiguration, like Register).
 func (c GeoI) newIncarnation(user string, n uint64) Mechanism {
 	derived := user
 	if n > 0 {

@@ -132,7 +132,7 @@ func TestGeoIMatchesBatchPerUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pushAll(GeoI{Epsilon: cfg.Epsilon, Seed: cfg.Seed}.New("alice"), in)
+	got := pushAll(GeoI{Epsilon: cfg.Epsilon, Seed: cfg.Seed}.newIncarnation("alice", 0), in)
 	if len(got) != want.Len() {
 		t.Fatalf("streaming emitted %d points, batch %d", len(got), want.Len())
 	}
@@ -171,7 +171,7 @@ func TestGeoIFactoryFreshNoisePerIncarnation(t *testing.T) {
 			t.Fatalf("first incarnation not deterministic across factories at %d", i)
 		}
 	}
-	batch := pushAll(c.New("alice"), in)
+	batch := pushAll(c.newIncarnation("alice", 0), in)
 	for i := range first {
 		if !first[i].Point.Equal(batch[i].Point) {
 			t.Fatalf("first incarnation differs from the batch-equivalent stream at %d", i)
