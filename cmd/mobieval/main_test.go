@@ -182,6 +182,31 @@ func TestGoldenReport(t *testing.T) {
 	}
 }
 
+// TestGoldenReportStays pins the full -stays report over the generated
+// fixture, POI retrieval attack included, so a change to the attack's
+// extraction or matching shows up as a readable diff. Regenerate
+// deliberately with -update.
+func TestGoldenReportStays(t *testing.T) {
+	golden := filepath.Join("testdata", "eval_stays_golden.txt")
+	raw, anon, stays := fixture(t)
+	var out bytes.Buffer
+	if err := run([]string{"-orig", raw, "-anon", anon, "-stays", stays}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -args -update to create it)", err)
+	}
+	if !bytes.Equal(want, out.Bytes()) {
+		t.Errorf("report drifted from golden:\n--- want\n%s\n--- got\n%s", want, out.Bytes())
+	}
+}
+
 // TestGoldenReportStoreNative pins that the store-native path emits the
 // byte-identical report for the same data (the golden body), plus its
 // stats trailer, without ever loading a dataset.

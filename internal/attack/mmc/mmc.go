@@ -157,38 +157,14 @@ func Distance(a, b *Chain, matchRadius float64) float64 {
 	if matchRadius <= 0 {
 		matchRadius = 500
 	}
-	type pair struct {
-		i, j int
-		d    float64
-	}
-	var pairs []pair
-	for i, sa := range a.States {
-		for j, sb := range b.States {
-			if d := geo.FastDistance(sa, sb); d <= matchRadius {
-				pairs = append(pairs, pair{i, j, d})
-			}
-		}
-	}
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].d != pairs[y].d {
-			return pairs[x].d < pairs[y].d
-		}
-		if pairs[x].i != pairs[y].i {
-			return pairs[x].i < pairs[y].i
-		}
-		return pairs[x].j < pairs[y].j
-	})
-	usedA := make(map[int]bool)
-	usedB := make(map[int]bool)
+	usedA := make([]bool, len(a.States))
+	usedB := make([]bool, len(b.States))
 	var dist float64
-	for _, p := range pairs {
-		if usedA[p.i] || usedB[p.j] {
-			continue
-		}
-		usedA[p.i] = true
-		usedB[p.j] = true
-		w := (a.Weight[p.i] + b.Weight[p.j]) / 2
-		dist += w * p.d
+	for _, m := range geo.GreedyMatch(a.States, b.States, matchRadius) {
+		usedA[m.A] = true
+		usedB[m.B] = true
+		w := (a.Weight[m.A] + b.Weight[m.B]) / 2
+		dist += w * m.D
 	}
 	// Unmatched stationary mass is charged the full penalty.
 	for i, w := range a.Weight {

@@ -1,8 +1,11 @@
 // Package geo provides the geodesic primitives used throughout mobipriv:
 // WGS84 coordinates, great-circle distances and bearings, destination
 // points, local planar projections, bounding boxes, polyline
-// (arc-length) arithmetic and the nearest-segment search of a path
-// (SegmentIndex).
+// (arc-length) arithmetic, the nearest-segment search of a path
+// (SegmentIndex), and the radius join of two point sets (RadiusIndex)
+// with the greedy one-to-one matching built on it (GreedyMatch). Both
+// searches prune by a proven bound and return exactly what scanning
+// every segment or every pair returns, bit for bit.
 //
 // All distances are expressed in meters and all angles in degrees unless
 // stated otherwise. The package deliberately uses a spherical Earth model

@@ -467,19 +467,13 @@ func (a *PopularAcc) Result() (float64, error) {
 // queryPoints), so two scans of the same data — batch or store-native —
 // count against the identical query set.
 //
-// A point is tested only against the queries of its latitude band: a
-// disc of the radius spans at most radius/R radians of latitude, so
-// the centers are sorted by latitude once and each point
-// binary-searches the band (widened by a relative 1e-9 and 1e-9°, far
-// above rounding). Every pair in the band takes the same FastDistance
-// test as a scan of all queries, and every pair outside it is provably
-// farther than the radius, so the counts are identical.
+// A point is tested only against the queries that a geo.RadiusIndex
+// over the centers returns, which are exactly the queries whose
+// FastDistance test a scan of all of them would pass, so the counts are
+// identical.
 type RangeQueryAcc struct {
-	queries   []geo.Point
-	radius    float64
-	band      float64   // half-height of a latitude band, degrees
-	lats      []float64 // query latitudes, ascending
-	byLat     []int     // byLat[j] is the query index of lats[j]
+	index     *geo.RadiusIndex
+	near      []geo.Neighbor // scratch for one point's queries
 	orig      []int64
 	anon      []int64
 	origTotal int64
@@ -498,26 +492,12 @@ func NewRangeQueryAcc(box geo.BBox, n int, radius float64, seed int64) (*RangeQu
 	return newRangeQueryAcc(queryPoints(box, n, seed), radius), nil
 }
 
-// newRangeQueryAcc returns an accumulator for the given query centers,
-// sorted by latitude for the band search.
+// newRangeQueryAcc returns an accumulator for the given query centers.
 func newRangeQueryAcc(queries []geo.Point, radius float64) *RangeQueryAcc {
-	byLat := make([]int, len(queries))
-	for i := range byLat {
-		byLat[i] = i
-	}
-	sort.SliceStable(byLat, func(i, j int) bool { return queries[byLat[i]].Lat < queries[byLat[j]].Lat })
-	lats := make([]float64, len(queries))
-	for j, qi := range byLat {
-		lats[j] = queries[qi].Lat
-	}
 	return &RangeQueryAcc{
-		queries: queries,
-		radius:  radius,
-		band:    radius/geo.EarthRadius*(180/math.Pi)*(1+1e-9) + 1e-9,
-		lats:    lats,
-		byLat:   byLat,
-		orig:    make([]int64, len(queries)),
-		anon:    make([]int64, len(queries)),
+		index: geo.NewRadiusIndex(queries, radius),
+		orig:  make([]int64, len(queries)),
+		anon:  make([]int64, len(queries)),
 	}
 }
 
@@ -529,12 +509,9 @@ func (a *RangeQueryAcc) AddPair(orig, anon *trace.Trace) {
 		}
 		*total += int64(tr.Len())
 		for _, p := range tr.Points {
-			hi := p.Lat + a.band
-			for j := sort.SearchFloat64s(a.lats, p.Lat-a.band); j < len(a.lats) && a.lats[j] <= hi; j++ {
-				qi := a.byLat[j]
-				if geo.FastDistance(p.Point, a.queries[qi]) <= a.radius {
-					counts[qi]++
-				}
+			a.near = a.index.AppendWithin(a.near[:0], p.Point)
+			for _, n := range a.near {
+				counts[n.I]++
 			}
 		}
 	}
@@ -561,8 +538,8 @@ func (a *RangeQueryAcc) Errors() ([]float64, error) {
 	}
 	origTotal := float64(a.origTotal)
 	anonTotal := math.Max(float64(a.anonTotal), 1)
-	out := make([]float64, len(a.queries))
-	for i := range a.queries {
+	out := make([]float64, len(a.orig))
+	for i := range a.orig {
 		of := float64(a.orig[i]) / origTotal
 		af := float64(a.anon[i]) / anonTotal
 		denom := math.Max(of, 1/origTotal) // one original point's worth of density

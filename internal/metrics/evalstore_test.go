@@ -192,7 +192,8 @@ func benchEvalStores(b *testing.B, users, pointsEach int) (*store.Store, *store.
 var benchOpts = EvalOptions{Queries: 16}
 
 // BenchmarkEvalStore measures the streaming evaluation path end to end
-// in points/s.
+// in points/s. It runs without the POI attack, whose serial scoring
+// after the scan BenchmarkAttackResult (internal/risk) prices.
 func BenchmarkEvalStore(b *testing.B) {
 	orig, anon := benchEvalStores(b, 48, 400)
 	o := benchOpts

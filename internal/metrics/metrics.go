@@ -19,8 +19,9 @@
 // completeness measure each point against a geo.SegmentIndex of the
 // other side's path, which skips only segment groups a lower bound
 // proves too far and is bit-identical to scanning every segment.
-// RangeQueryAcc tests each point only against the query centers in its
-// latitude band, which yields the counts of testing every center.
+// RangeQueryAcc tests each point only against the query centers a
+// geo.RadiusIndex returns, which yields the counts of testing every
+// center.
 package metrics
 
 import (

@@ -206,44 +206,12 @@ func (a *AttackAcc) Result() Result {
 }
 
 // matchCount greedily matches extracted points to truth points within
-// radius, each point used at most once, closest pairs first. Greedy
-// matching on sorted distances is optimal for counting matches in this
-// bipartite threshold setting in all but adversarial geometries, and is
-// deterministic.
+// radius, each point used at most once, closest pairs first (see
+// geo.GreedyMatch). Greedy matching on sorted distances is optimal for
+// counting matches in this bipartite threshold setting in all but
+// adversarial geometries, and is deterministic.
 func matchCount(truth, extracted []geo.Point, radius float64) int {
-	type pair struct {
-		t, e int
-		d    float64
-	}
-	var pairs []pair
-	for ti, tp := range truth {
-		for ei, ep := range extracted {
-			if d := geo.FastDistance(tp, ep); d <= radius {
-				pairs = append(pairs, pair{t: ti, e: ei, d: d})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].d != pairs[j].d {
-			return pairs[i].d < pairs[j].d
-		}
-		if pairs[i].t != pairs[j].t {
-			return pairs[i].t < pairs[j].t
-		}
-		return pairs[i].e < pairs[j].e
-	})
-	usedT := make(map[int]bool)
-	usedE := make(map[int]bool)
-	matched := 0
-	for _, p := range pairs {
-		if usedT[p.t] || usedE[p.e] {
-			continue
-		}
-		usedT[p.t] = true
-		usedE[p.e] = true
-		matched++
-	}
-	return matched
+	return len(geo.GreedyMatch(truth, extracted, radius))
 }
 
 func sortedKeys(m map[string][]geo.Point) []string {

@@ -1,8 +1,11 @@
 package risk
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -138,5 +141,132 @@ func TestNewAttackAccValidates(t *testing.T) {
 	cfg.POI.MaxDiameter = -1
 	if _, err := NewAttackAcc(nil, cfg); err == nil {
 		t.Error("expected error for invalid POI config")
+	}
+}
+
+// matchCountAllPairs is the reference matchCount must match: the
+// all-pairs matcher it replaced, kept verbatim.
+func matchCountAllPairs(truth, extracted []geo.Point, radius float64) int {
+	type pair struct {
+		t, e int
+		d    float64
+	}
+	var pairs []pair
+	for ti, tp := range truth {
+		for ei, ep := range extracted {
+			if d := geo.FastDistance(tp, ep); d <= radius {
+				pairs = append(pairs, pair{t: ti, e: ei, d: d})
+			}
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].d != pairs[j].d {
+			return pairs[i].d < pairs[j].d
+		}
+		if pairs[i].t != pairs[j].t {
+			return pairs[i].t < pairs[j].t
+		}
+		return pairs[i].e < pairs[j].e
+	})
+	usedT := make(map[int]bool)
+	usedE := make(map[int]bool)
+	matched := 0
+	for _, p := range pairs {
+		if usedT[p.t] || usedE[p.e] {
+			continue
+		}
+		usedT[p.t] = true
+		usedE[p.e] = true
+		matched++
+	}
+	return matched
+}
+
+// evalShapedPOIs returns truth and extracted POI centers shaped like
+// mobieval -stays over 300 Promesse-anonymized commuters: 760 truth
+// POIs (2 or 3 a user) and 10,566 extracted ones (35 or 36 a user) in
+// a city of 5 km radius. Three truth POIs in four leak: half of their
+// user's extracted POIs fall within a few hundred meters of one of
+// them, and the rest anywhere in the city.
+func evalShapedPOIs(seed int64) (truth, extracted map[string][]geo.Point) {
+	rnd := rand.New(rand.NewSource(seed))
+	center := geo.Point{Lat: 45.76, Lng: 4.83}
+	inCity := func() geo.Point {
+		r, a := 5000*math.Sqrt(rnd.Float64()), 2*math.Pi*rnd.Float64()
+		return geo.Offset(center, r*math.Cos(a), r*math.Sin(a))
+	}
+	truth = make(map[string][]geo.Point)
+	extracted = make(map[string][]geo.Point)
+	for u := range 300 {
+		user := fmt.Sprintf("u%03d", u)
+		nTruth, nExtr := 2, 35
+		if u < 160 {
+			nTruth = 3
+		}
+		if u < 66 {
+			nExtr = 36
+		}
+		var revealed []geo.Point
+		for range nTruth {
+			p := inCity()
+			truth[user] = append(truth[user], p)
+			if rnd.Intn(4) != 0 {
+				revealed = append(revealed, p)
+			}
+		}
+		for range nExtr {
+			p := inCity()
+			if len(revealed) > 0 && rnd.Intn(2) == 0 {
+				near := revealed[rnd.Intn(len(revealed))]
+				p = geo.Offset(near, rnd.NormFloat64()*150, rnd.NormFloat64()*150)
+			}
+			extracted[user] = append(extracted[user], p)
+		}
+	}
+	return truth, extracted
+}
+
+// TestMatchCountMatchesAllPairs is the differential wall for the radius
+// join under the attack's scoring: matchCount must equal the all-pairs
+// matcher on every user's lists and on the pooled ones, at the attack's
+// radius and around it, and with every extracted POI duplicated so that
+// distances tie.
+func TestMatchCountMatchesAllPairs(t *testing.T) {
+	truth, extracted := evalShapedPOIs(1)
+	var allTruth, allExtr []geo.Point
+	for _, u := range sortedKeys(truth) {
+		allTruth = append(allTruth, truth[u]...)
+		allExtr = append(allExtr, extracted[u]...)
+	}
+	for _, radius := range []float64{1, 50, 250, 1000} {
+		for _, u := range sortedKeys(truth) {
+			if got, want := matchCount(truth[u], extracted[u], radius), matchCountAllPairs(truth[u], extracted[u], radius); got != want {
+				t.Fatalf("radius %v, user %s: matchCount = %d, all-pairs %d", radius, u, got, want)
+			}
+		}
+		if got, want := matchCount(allTruth, allExtr, radius), matchCountAllPairs(allTruth, allExtr, radius); got != want {
+			t.Fatalf("radius %v, pooled: matchCount = %d, all-pairs %d", radius, got, want)
+		}
+	}
+	dup := append(append([]geo.Point(nil), allExtr[:2000]...), allExtr[:2000]...)
+	if got, want := matchCount(allTruth, dup, 250), matchCountAllPairs(allTruth, dup, 250); got != want {
+		t.Fatalf("duplicated extractions: matchCount = %d, all-pairs %d", got, want)
+	}
+}
+
+// BenchmarkAttackResult prices the attack's final scoring, which runs
+// serially after the scan, at mobieval -stays' shape over 300
+// commuters: ~760 truth against ~10.5k extracted POIs (see
+// evalShapedPOIs), per user and pooled.
+func BenchmarkAttackResult(b *testing.B) {
+	truth, extracted := evalShapedPOIs(1)
+	a, err := NewAttackAcc(truth, DefaultAttackConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.extracted = extracted
+	b.ReportAllocs()
+	for b.Loop() {
+		a.Result()
 	}
 }
