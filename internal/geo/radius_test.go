@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -103,19 +102,15 @@ func greedyAllPairs(as, bs []Point, matchRadius float64) []Match {
 func checkJoin(t *testing.T, probes, points []Point, radius float64) {
 	t.Helper()
 	want, got := allPairs(probes, points, radius), indexPairs(probes, points, radius)
-	if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(want, got)) {
+	if !slices.Equal(want, got) {
 		t.Fatalf("radius %v, %d probes × %d points: index found %d pairs, all-pairs scan %d\nindex %v\nscan  %v",
 			radius, len(probes), len(points), len(got), len(want), got, want)
 	}
 	wantM, gotM := greedyAllPairs(probes, points, radius), GreedyMatch(probes, points, radius)
-	if len(wantM) != len(gotM) {
-		t.Fatalf("radius %v: GreedyMatch took %d pairs, all-pairs greedy %d", radius, len(gotM), len(wantM))
-	}
-	for k := range wantM {
-		w, g := wantM[k], gotM[k]
-		if w.A != g.A || w.B != g.B || math.Float64bits(w.D) != math.Float64bits(g.D) {
-			t.Fatalf("radius %v: match %d is %+v, all-pairs greedy %+v", radius, k, g, w)
-		}
+	if !slices.EqualFunc(wantM, gotM, func(w, g Match) bool {
+		return w.A == g.A && w.B == g.B && math.Float64bits(w.D) == math.Float64bits(g.D)
+	}) {
+		t.Fatalf("radius %v: GreedyMatch took %v, all-pairs greedy %v", radius, gotM, wantM)
 	}
 }
 
