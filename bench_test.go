@@ -1,19 +1,18 @@
-// Repository-level benchmarks: one per experiment (E1..E15, the tables
-// and figure-series of the evaluation in internal/experiment) plus
-// throughput benchmarks for the pipeline and each baseline. Regenerate
-// everything with:
+// Repository-level micro-benchmarks: throughput of the pipeline, each
+// baseline and the streaming engine. Run them with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// The experiment benchmarks run at Quick scale so the whole suite stays
-// in CI territory; the full-scale tables are regenerated with
-// cmd/mobibench.
+// The evaluation's tables (E1..E15 in internal/experiment) are not
+// timed here: TestAllExperimentsRunQuick runs every one at Quick scale
+// on each test run, and cmd/mobibench prints each table's wall time.
+// The end-to-end benchmark is the one BENCHMARK.json declares (see
+// bench/README.md).
 package mobipriv_test
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -24,7 +23,6 @@ import (
 	"mobipriv/internal/baseline/geoind"
 	"mobipriv/internal/baseline/w4m"
 	"mobipriv/internal/core"
-	"mobipriv/internal/experiment"
 	"mobipriv/internal/mixzone"
 	"mobipriv/internal/obs"
 	otrace "mobipriv/internal/obs/trace"
@@ -32,41 +30,6 @@ import (
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
 )
-
-// benchExperiment runs one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiment.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		table, err := e.Run(experiment.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := table.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1_Figure1(b *testing.B)          { benchExperiment(b, "E1") }
-func BenchmarkE2_POIRetrieval(b *testing.B)     { benchExperiment(b, "E2") }
-func BenchmarkE3_GeoIRecall(b *testing.B)       { benchExperiment(b, "E3") }
-func BenchmarkE4_Distortion(b *testing.B)       { benchExperiment(b, "E4") }
-func BenchmarkE5_Coverage(b *testing.B)         { benchExperiment(b, "E5") }
-func BenchmarkE6_EpsilonSweep(b *testing.B)     { benchExperiment(b, "E6") }
-func BenchmarkE7_Reidentification(b *testing.B) { benchExperiment(b, "E7") }
-func BenchmarkE8_W4MSweep(b *testing.B)         { benchExperiment(b, "E8") }
-func BenchmarkE9_ZoneSupply(b *testing.B)       { benchExperiment(b, "E9") }
-func BenchmarkE10_Throughput(b *testing.B)      { benchExperiment(b, "E10") }
-func BenchmarkE11_QuerySuite(b *testing.B)      { benchExperiment(b, "E11") }
-func BenchmarkE12_Ablations(b *testing.B)       { benchExperiment(b, "E12") }
-func BenchmarkE13_SemanticAttack(b *testing.B)  { benchExperiment(b, "E13") }
-func BenchmarkE14_MMCAttack(b *testing.B)       { benchExperiment(b, "E14") }
-func BenchmarkE15_ZoneComposition(b *testing.B) { benchExperiment(b, "E15") }
 
 // benchDataset builds a fixed commuter dataset for the throughput
 // benchmarks.

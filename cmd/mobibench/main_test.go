@@ -113,7 +113,7 @@ func TestRunDatasetSkipsSweeps(t *testing.T) {
 	if !strings.Contains(s, "(E13 skipped:") {
 		t.Fatalf("missing E13 (ground-truth) skip note:\n%s", s)
 	}
-	for _, id := range []string{"== E1:", "== E8:", "== E10:", "== E15:"} {
+	for _, id := range []string{"== E1:", "== E8:", "== E11:", "== E15:"} {
 		if !strings.Contains(s, id) {
 			t.Fatalf("missing %s table (run aborted?):\n%s", id, s)
 		}

@@ -1,18 +1,20 @@
 // Command mobiload is the deterministic load driver for mobiserve: it
 // replays seeded synthetic traffic (or an existing .mstore dataset)
-// against a running instance at a target rate and persists the serving
+// against a running instance at a target rate and prints the serving
 // performance — points/s, p50/p95/p99 ingest latency, error counts —
-// as a BENCH_serve.json artifact, so the perf trajectory is tracked
-// across PRs instead of re-measured by hand.
+// followed by the server's own latency quantiles from /stats (HTTP
+// routes and the engine's queue-wait, process and sink stages).
 //
 //	mobiserve -addr :8080 -mechanism "geoi(0.01)" &
-//	mobiload -target http://localhost:8080 -users 200 -days 1 -out BENCH_serve.json
+//	mobiload -target http://localhost:8080 -users 200 -days 1
 //
-// The traffic is deterministic for a fixed -seed and shape: the result
-// records a traffic checksum, so two runs of the same command send
+// The traffic is deterministic for a fixed -seed and shape: the summary
+// prints a traffic checksum, so two runs of the same command send
 // byte-identical point streams and are directly comparable. Users are
 // partitioned across sender workers by the same hash the server shards
-// by, preserving each user's chronological order at any -workers.
+// by, preserving each user's chronological order at any -workers. The
+// repository's recorded performance comes from the benchmark declared
+// in BENCHMARK.json (bench/README.md), not from this tool.
 package main
 
 import (
@@ -54,7 +56,6 @@ func run(args []string, stdout io.Writer) error {
 		workers   = fs.Int("workers", 0, "concurrent senders (0 = NumCPU, capped at 8)")
 		maxPoints = fs.Int("max-points", 0, "truncate traffic to this many points (0 = all)")
 		noFlush   = fs.Bool("no-flush", false, "skip the POST /flush after the traffic")
-		out       = fs.String("out", "", "persist the result as a benchmark artifact (e.g. BENCH_serve.json)")
 		verbose   = cliutil.Verbose(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,43 +87,29 @@ func run(args []string, stdout io.Writer) error {
 		res.Points, res.Seconds, res.PointsPerS,
 		res.IngestP50ms, res.IngestP95ms, res.IngestP99ms,
 		res.Errors, res.TrafficChecksum)
-	if sd := res.Server; sd != nil {
-		fmt.Fprintf(stdout, "server: %d points in, %d push stalls; p99 decomposition: queue-wait %.2fms (%.0f%%) process %.2fms (%.0f%%) sink %.2fms (%.0f%%)\n",
-			sd.PointsIn, sd.PushStalls,
-			sd.QueueWait.P99ms, 100*sd.QueueWait.ShareP99,
-			sd.Process.P99ms, 100*sd.Process.ShareP99,
-			sd.Sink.P99ms, 100*sd.Sink.ShareP99)
+	if err := dumpLatency(ctx, cfg.Target, stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "mobiload: fetch /stats: %v\n", err)
 	}
-
-	if *out != "" {
-		if err := load.WriteBench(*out, "mobiload "+strings.Join(args, " "), res); err != nil {
-			return fmt.Errorf("write %s: %w", *out, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *out)
-	}
-
 	if *verbose {
-		if err := dumpLatency(ctx, cfg, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "mobiload: fetch /stats: %v\n", err)
-		}
-		if err := dumpMetrics(ctx, cfg, os.Stderr); err != nil {
+		if err := dumpMetrics(ctx, cfg.Target, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "mobiload: fetch /metrics: %v\n", err)
 		}
 	}
 	return nil
 }
 
+// client reads the server's /stats and /metrics after the run.
+var client = &http.Client{Timeout: 10 * time.Second}
+
 // dumpLatency prints the server's per-histogram quantile summaries
 // from /stats — every latency series (HTTP routes, engine queue-wait /
-// process / sink) as one line of p50/p95/p99.
-func dumpLatency(ctx context.Context, cfg load.Config, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/stats", nil)
+// process / sink) as one line of p50/p95/p99. The histograms are
+// cumulative, so against a fresh server they describe exactly this
+// run's traffic.
+func dumpLatency(ctx context.Context, target string, w io.Writer) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/stats", nil)
 	if err != nil {
 		return err
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	resp, err := client.Do(req)
 	if err != nil {
@@ -151,14 +138,10 @@ func dumpLatency(ctx context.Context, cfg load.Config, w io.Writer) error {
 
 // dumpMetrics fetches the server's /metrics after the run — the
 // server-side view of the load just applied.
-func dumpMetrics(ctx context.Context, cfg load.Config, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/metrics", nil)
+func dumpMetrics(ctx context.Context, target string, w io.Writer) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/metrics", nil)
 	if err != nil {
 		return err
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	resp, err := client.Do(req)
 	if err != nil {

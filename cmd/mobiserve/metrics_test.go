@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -197,9 +195,9 @@ func TestPprofOptIn(t *testing.T) {
 
 // TestLoadSmoke is the CI load-smoke: an in-process mobiserve driven
 // by a short deterministic internal/load run. It asserts the driver
-// and server agree on the point count, the BENCH artifact lands with
-// nonzero points/s and the server-side p99 decomposition (queue-wait /
-// process / sink), and /metrics still parses afterwards.
+// and server agree on the point count, the run reports nonzero
+// points/s, and /metrics parses afterwards with every shard batch
+// timed through all three engine stages (queue-wait, process, sink).
 func TestLoadSmoke(t *testing.T) {
 	_, hs, _ := servetest.Start(t, worker.Config{Spec: "geoi(epsilon=0.01,seed=7)", Shards: 4, RiskMinDays: 2, TraceSample: 1})
 
@@ -222,44 +220,12 @@ func TestLoadSmoke(t *testing.T) {
 		t.Fatalf("points_per_s = %v", res.PointsPerS)
 	}
 
-	// The driver snapshots /stats around the run, so the result must
-	// carry the server-side latency decomposition.
-	sd := res.Server
-	if sd == nil {
-		t.Fatal("result carries no server decomposition")
-	}
-	if sd.PointsIn != int64(res.Points) {
-		t.Fatalf("server saw %d points, driver sent %d", sd.PointsIn, res.Points)
-	}
-	if sd.QueueWait.Count == 0 || sd.QueueWait.Count != sd.Process.Count || sd.Process.Count != sd.Sink.Count {
-		t.Fatalf("stage counts diverge: queue-wait %d process %d sink %d",
-			sd.QueueWait.Count, sd.Process.Count, sd.Sink.Count)
-	}
-	if sum := sd.QueueWait.ShareP99 + sd.Process.ShareP99 + sd.Sink.ShareP99; math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("p99 shares sum to %v, want 1", sum)
-	}
-
-	bench := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := load.WriteBench(bench, "test load-smoke", res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b load.Bench
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Results.PointsPerS <= 0 {
-		t.Fatalf("bench points_per_s = %v", b.Results.PointsPerS)
-	}
-	if b.Results.Server == nil || b.Results.Server.Process.Count == 0 {
-		t.Fatalf("bench artifact lost the server decomposition: %+v", b.Results.Server)
-	}
-
 	m := scrape(t, hs.URL)
 	if got := m["stream_points_in_total"]; got != float64(res.Points) {
 		t.Fatalf("server ingested %v points, driver sent %d", got, res.Points)
+	}
+	qw, pr, sk := m["stream_queue_wait_seconds_count"], m["stream_process_seconds_count"], m["stream_sink_seconds_count"]
+	if qw == 0 || qw != pr || pr != sk {
+		t.Fatalf("stage counts diverge: queue-wait %v process %v sink %v", qw, pr, sk)
 	}
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"mobipriv/internal/attack/poiattack"
 	"mobipriv/internal/baseline/w4m"
@@ -12,7 +11,6 @@ import (
 
 func init() {
 	register(Experiment{ID: "E8", Title: "Wait4Me (k,delta) sweep", Run: runE8})
-	register(Experiment{ID: "E10", Title: "Throughput per mechanism", Run: runE10})
 }
 
 // runE8 sweeps Wait4Me's two parameters, showing the privacy knob's cost
@@ -55,35 +53,5 @@ func runE8(s Scale) (*Table, error) {
 		}
 	}
 	table.AddNote("expected shape: distortion grows with k and shrinks with delta; POI F1 stays well above promesse's because stops survive")
-	return table, nil
-}
-
-// runE10 measures wall-clock throughput (input points per second) of
-// each mechanism on the commuter workload.
-func runE10(s Scale) (*Table, error) {
-	g, err := commuterWorkload(s)
-	if err != nil {
-		return nil, err
-	}
-	table := &Table{
-		ID:      "E10",
-		Title:   "Anonymization throughput (commuter workload)",
-		Columns: []string{"mechanism", "input points", "wall time", "points/s"},
-	}
-	points := g.Dataset.TotalPoints()
-	for _, m := range standardMechanisms() {
-		if m.name == "raw" {
-			continue
-		}
-		start := time.Now()
-		if _, err := m.apply(g.Dataset); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		pps := float64(points) / elapsed.Seconds()
-		table.AddRow(m.name, fmtI(points), elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", pps))
-	}
-	table.AddNote("single-threaded wall time; see bench/README.md for the end-to-end benchmark")
 	return table, nil
 }

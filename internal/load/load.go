@@ -2,7 +2,9 @@
 // it generates or loads a traffic trace, fires it at a running
 // mobiserve instance over HTTP at a target rate, and reports the
 // serving performance (points/s, ingest-latency quantiles, error
-// counts) as a persistable benchmark artifact.
+// counts). The repository's performance record is the benchmark that
+// BENCHMARK.json declares (see bench/README.md); this driver is the
+// hand-held probe beside it.
 //
 // Determinism is the design constraint everything else follows from.
 // The traffic itself derives from a seed (synthetic commuters) or an
@@ -28,7 +30,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -85,11 +86,10 @@ type Config struct {
 	// Flush, when set, POSTs /flush after the traffic so withheld
 	// points are forced out before the run is scored.
 	Flush bool
-
-	// Client overrides the HTTP client (tests); nil uses a dedicated
-	// client with sane timeouts.
-	Client *http.Client
 }
+
+// client is the HTTP client every request of a run goes through.
+var client = &http.Client{Timeout: 30 * time.Second}
 
 func (c Config) withDefaults() Config {
 	if c.Users <= 0 {
@@ -110,38 +110,26 @@ func (c Config) withDefaults() Config {
 			c.Workers = 8
 		}
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	return c
 }
 
 // Result is the outcome of one load run.
 type Result struct {
 	// Traffic shape (deterministic for a fixed config).
-	Points          int64   `json:"points"`
-	TrafficChecksum string  `json:"traffic_checksum"`
-	Workers         int     `json:"workers"`
-	Batch           int     `json:"batch"`
-	TargetRate      float64 `json:"target_rate,omitempty"`
+	Points          int64
+	TrafficChecksum string
+	TargetRate      float64
 
 	// Outcome.
-	Requests   int64   `json:"requests"`
-	Errors     int64   `json:"errors"`
-	Accepted   int64   `json:"accepted"`
-	Seconds    float64 `json:"seconds"`
-	PointsPerS float64 `json:"points_per_s"`
+	Errors     int64
+	Accepted   int64
+	Seconds    float64
+	PointsPerS float64
 
 	// Ingest-request latency quantiles, milliseconds.
-	IngestP50ms float64 `json:"ingest_p50_ms"`
-	IngestP95ms float64 `json:"ingest_p95_ms"`
-	IngestP99ms float64 `json:"ingest_p99_ms"`
-
-	// Server is the server-side latency decomposition (queue-wait vs
-	// process vs sink), snapshotted from the target's /stats around the
-	// run. Nil when the target does not expose /stats or does not
-	// publish the decomposition histograms (e.g. a stub).
-	Server *ServerDecomp `json:"server,omitempty"`
+	IngestP50ms float64
+	IngestP95ms float64
+	IngestP99ms float64
 }
 
 // rec is one point in arrival order.
@@ -164,16 +152,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{
 		Points:          total,
 		TrafficChecksum: sum,
-		Workers:         cfg.Workers,
-		Batch:           cfg.Batch,
 		TargetRate:      cfg.Rate,
 	}
-
-	// Best-effort server snapshot before the traffic: when the target is
-	// a real mobiserve the before/after delta attributes the run's p99
-	// to queue-wait vs process vs sink; a stub without /stats simply
-	// yields no Server block.
-	statsBefore, statsErr := fetchServerStats(ctx, cfg)
 
 	var (
 		mu       sync.Mutex
@@ -213,11 +193,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	res.Seconds = time.Since(start).Seconds()
-	if statsErr == nil {
-		if statsAfter, err := fetchServerStats(ctx, cfg); err == nil {
-			res.Server = decompose(statsBefore, statsAfter)
-		}
-	}
 	if res.Seconds > 0 {
 		res.PointsPerS = float64(res.Points) / res.Seconds
 	}
@@ -279,11 +254,13 @@ func buildTraffic(ctx context.Context, cfg Config) ([][]rec, int64, string, erro
 	}
 
 	// Partition users across workers with the shared placement contract
-	// (rng.Shard), mirroring the engine's shard routing: one worker owns
-	// all of a user's points.
+	// (rng.Shard) — the function the stream engine shards by and the
+	// multi-node router routes by — so one worker owns all of a user's
+	// points whatever the concurrency.
 	streams := make([][]rec, cfg.Workers)
 	for _, r := range all {
-		streams[userWorker(r.user, cfg.Workers)] = append(streams[userWorker(r.user, cfg.Workers)], r)
+		w := rng.Shard(r.user, cfg.Workers)
+		streams[w] = append(streams[w], r)
 	}
 	h := fnv.New64a()
 	for _, s := range streams {
@@ -293,14 +270,6 @@ func buildTraffic(ctx context.Context, cfg Config) ([][]rec, int64, string, erro
 		}
 	}
 	return streams, int64(len(all)), strconv.FormatUint(h.Sum64(), 16), nil
-}
-
-// userWorker partitions a user onto a sender worker with the shared
-// placement contract (rng.Shard) — the same function the stream engine
-// shards by and the multi-node router routes by, so one worker owns
-// all of a user's points whatever the concurrency.
-func userWorker(user string, n int) int {
-	return rng.Shard(user, n)
 }
 
 // sendStream sends one worker's stream in batches, pacing against rate
@@ -347,7 +316,6 @@ func sendStream(ctx context.Context, cfg Config, worker int, stream []rec, rate 
 		reqStart := time.Now()
 		accepted, err := postIngest(ctx, cfg, buf.Bytes(), tp)
 		hist.ObserveDuration(time.Since(reqStart))
-		atomic.AddInt64(&res.Requests, 1)
 		if err != nil {
 			atomic.AddInt64(&res.Errors, 1)
 			if ctx.Err() != nil {
@@ -368,7 +336,7 @@ func postIngest(ctx context.Context, cfg Config, body []byte, traceparent string
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	req.Header.Set("traceparent", traceparent)
-	resp, err := cfg.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -393,7 +361,7 @@ func postFlush(ctx context.Context, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	resp, err := cfg.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -403,36 +371,4 @@ func postFlush(ctx context.Context, cfg Config) error {
 		return fmt.Errorf("load: flush: HTTP %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// Bench is the BENCH_serve.json artifact: one load run plus enough
-// environment to compare across commits.
-type Bench struct {
-	Description string            `json:"description"`
-	Date        string            `json:"date"`
-	Command     string            `json:"command"`
-	Environment map[string]string `json:"environment"`
-	Results     *Result           `json:"results"`
-}
-
-// WriteBench persists the result as a benchmark artifact at path.
-func WriteBench(path, command string, res *Result) error {
-	b := Bench{
-		Description: "mobiserve ingest load test: deterministic seeded replay via mobiload. " +
-			"traffic_checksum pins the exact traffic; points_per_s and the ingest latency " +
-			"quantiles are the serving perf trajectory tracked across PRs.",
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Command: command,
-		Environment: map[string]string{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cpus":   strconv.Itoa(runtime.NumCPU()),
-		},
-		Results: res,
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

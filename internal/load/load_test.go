@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -148,29 +147,6 @@ func TestRunStoreTraffic(t *testing.T) {
 	want := int64(gen.Dataset.TotalPoints())
 	if res.Points != want || points.Load() != want {
 		t.Fatalf("points = %d (server %d), want %d", res.Points, points.Load(), want)
-	}
-}
-
-// TestWriteBench pins the artifact shape.
-func TestWriteBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	res := &Result{Points: 10, PointsPerS: 100, TrafficChecksum: "abc"}
-	if err := WriteBench(path, "mobiload -users 2", res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Bench
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Results == nil || b.Results.Points != 10 {
-		t.Fatalf("bad results: %+v", b.Results)
-	}
-	if b.Environment["goos"] == "" || b.Command == "" || b.Date == "" {
-		t.Fatalf("missing metadata: %+v", b)
 	}
 }
 

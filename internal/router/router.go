@@ -400,8 +400,8 @@ type nodeStats struct {
 }
 
 // statsResponse is the router's /stats wire format — a superset of the
-// single-node fields mobiload's decomposition reads (points_in,
-// push_stalls, latency), aggregated fleet-wide.
+// single-node fields (points_in, push_stalls, latency), aggregated
+// fleet-wide.
 type statsResponse struct {
 	Nodes       int                     `json:"nodes"`
 	UptimeS     float64                 `json:"uptime_s"`
@@ -422,8 +422,8 @@ type statsResponse struct {
 // histograms merge exactly through their sparse-bin snapshots, so the
 // fleet-wide quantiles equal a single process having observed
 // everything. The response keeps the single-node wire shape (plus
-// per-node detail), so mobiload's server-side decomposition works
-// unchanged against a router.
+// per-node detail), so mobiload's stage latency lines read the same
+// against a router.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := make([]*serve.StatsResponse, len(rt.nodes))
 	err := serve.FanOut(len(rt.nodes), func(i int) error {
