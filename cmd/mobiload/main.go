@@ -103,9 +103,10 @@ var client = &http.Client{Timeout: 10 * time.Second}
 
 // dumpLatency prints the server's per-histogram quantile summaries
 // from /stats — every latency series (HTTP routes, engine queue-wait /
-// process / sink) as one line of p50/p95/p99. The histograms are
-// cumulative, so against a fresh server they describe exactly this
-// run's traffic.
+// process / sink) that recorded at least one sample, as one line of
+// p50/p95/p99. The histograms are cumulative, so against a fresh
+// server they describe exactly this run's traffic; a route the run
+// never called has nothing to summarize and is left out.
 func dumpLatency(ctx context.Context, target string, w io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/stats", nil)
 	if err != nil {
@@ -126,6 +127,9 @@ func dumpLatency(ctx context.Context, target string, w io.Writer) error {
 		return err
 	}
 	for _, h := range st.Latency {
+		if h.Count == 0 {
+			continue
+		}
 		name := h.Name
 		if h.Labels != "" {
 			name += "{" + h.Labels + "}"

@@ -29,7 +29,9 @@ func stub(t *testing.T) *httptest.Server {
 		json.NewEncoder(w).Encode(map[string]bool{"flushed": true})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"latency":[{"name":"stream_process_seconds","count":3,"p50_s":0.001,"p95_s":0.002,"p99_s":0.003}]}`)
+		io.WriteString(w, `{"latency":[`+
+			`{"name":"stream_process_seconds","count":3,"p50_s":0.001,"p95_s":0.002,"p99_s":0.003},`+
+			`{"name":"mobiserve_http_request_seconds","labels":"route=\"/risk\"","count":0}]}`)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -37,8 +39,9 @@ func stub(t *testing.T) *httptest.Server {
 }
 
 // TestRunChecksumRepeats pins the CLI contract: a run against a server
-// prints the summary line and the server's /stats latency lines, and
-// two identical runs print the same traffic checksum.
+// prints the summary line and the server's /stats latency lines, leaves
+// out the histograms that recorded nothing, and two identical runs
+// print the same traffic checksum.
 func TestRunChecksumRepeats(t *testing.T) {
 	srv := stub(t)
 
@@ -63,6 +66,9 @@ func TestRunChecksumRepeats(t *testing.T) {
 	}
 	if !strings.Contains(out1, "stream_process_seconds: n=3 p50 1.00ms p95 2.00ms p99 3.00ms") {
 		t.Fatalf("output lacks the /stats latency line: %q", out1)
+	}
+	if strings.Contains(out1, "mobiserve_http_request_seconds") || strings.Contains(out1, "n=0") {
+		t.Fatalf("output prints a histogram with no samples: %q", out1)
 	}
 
 	sumRe := regexp.MustCompile(`checksum ([0-9a-f]+)`)

@@ -20,8 +20,9 @@ const prefilterMaxLat = 89
 //
 //   - The latitude band. FastDistance is at least R·|Δφ|, so a point
 //     within the radius lies within radius/R radians of latitude. The
-//     points are sorted by latitude once and a probe binary-searches
-//     the band, widened by a relative 1e-9 and 1e-9°, far above the
+//     points are sorted by latitude once, their latitudes kept in one
+//     contiguous slice, and a probe binary-searches that slice for the
+//     band, widened by a relative 1e-9 and 1e-9°, far above the
 //     rounding of the degree-radian conversions.
 //   - The longitude prefilter. FastDistance is R·√(x²+y²) with x =
 //     Δλ·cos(φm), φm the mean latitude of the pair, so it is at least
@@ -47,6 +48,7 @@ type RadiusIndex struct {
 	band    float64       // half-height of a probe's latitude band, degrees
 	maxLng  float64       // longitude prefilter half-width, degrees; +Inf when off
 	entries []radiusEntry // ascending by (latitude, index)
+	lats    []float64     // lats[k] = entries[k].p.Lat
 }
 
 // radiusEntry is one indexed point and its index in the indexed slice.
@@ -80,6 +82,10 @@ func NewRadiusIndex(pts []Point, radius float64) *RadiusIndex {
 		}
 		return a.i - b.i
 	})
+	ix.lats = make([]float64, len(ix.entries))
+	for k, e := range ix.entries {
+		ix.lats[k] = e.p.Lat
+	}
 	ix.band = radius/EarthRadius*radToDeg*(1+1e-9) + 1e-9
 	if maxLat > 90 {
 		ix.band = math.Inf(1)
@@ -94,16 +100,25 @@ func NewRadiusIndex(pts []Point, radius float64) *RadiusIndex {
 // p, ascending by (latitude, index), and returns the extended slice. It
 // allocates nothing when dst has the room.
 func (ix *RadiusIndex) AppendWithin(dst []Neighbor, p Point) []Neighbor {
-	e := ix.entries
 	lo, hi := p.Lat-ix.band, p.Lat+ix.band
-	k, _ := slices.BinarySearchFunc(e, lo, func(e radiusEntry, lat float64) int { return cmp.Compare(e.p.Lat, lat) })
-	for ; k < len(e) && e[k].p.Lat <= hi; k++ {
-		q := e[k].p
+	// k is the first entry whose latitude is not below lo: the lower
+	// bound a binary search over lats finds.
+	k, end := 0, len(ix.lats)
+	for k < end {
+		m := int(uint(k+end) >> 1)
+		if ix.lats[m] < lo {
+			k = m + 1
+		} else {
+			end = m
+		}
+	}
+	for ; k < len(ix.lats) && ix.lats[k] <= hi; k++ {
+		q := ix.entries[k].p
 		if math.Abs(q.Lng-p.Lng) > ix.maxLng {
 			continue
 		}
 		if d := FastDistance(p, q); d <= ix.radius {
-			dst = append(dst, Neighbor{I: e[k].i, D: d})
+			dst = append(dst, Neighbor{I: ix.entries[k].i, D: d})
 		}
 	}
 	return dst

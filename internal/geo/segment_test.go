@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -197,7 +198,65 @@ func FuzzSegmentIndex(f *testing.F) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%d vertices, probe %v: index %v, brute force %v", len(pts), probe, got, want)
 		}
+
+		// Reset from a longer path A, already queried, to this path B
+		// must answer exactly as a fresh index over B.
+		a := append([]Point{probe}, pts...)
+		slices.Reverse(a)
+		ix := mustIndex(t, a)
+		ix.DistanceTo(probe)
+		if err := ix.Reset(len(pts), func(i int) Point { return pts[i] }); err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.DistanceTo(probe); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d vertices, probe %v: reset index %v, fresh index %v", len(pts), probe, got, want)
+		}
 	})
+}
+
+// TestSegmentIndexNearTie pins a path and a probe where ranking the
+// segments by their rounded squared offsets alone gives other bits than
+// the scan: the segment with the smallest square is not the one with
+// the smallest math.Hypot. The index must still return the scan's
+// minimum, which only the margin in scan guarantees. The case came from
+// a seeded search over paths whose vertices lie micrometers apart on a
+// circle around the probe, where every segment ties to the last ulp.
+func TestSegmentIndexNearTie(t *testing.T) {
+	pts := []Point{
+		{Lat: 45.763137841819606, Lng: 4.836132810299399},
+		{Lat: 45.763137841819734, Lng: 4.836132810300687},
+		{Lat: 45.763137841819876, Lng: 4.836132810302244},
+	}
+	probe := Point{Lat: 45.76438781540838, Lng: 4.83588293478768}
+	ix := mustIndex(t, pts)
+
+	// The wall is not vacuous: squares and Hypot rank the two segments
+	// differently.
+	lat, lng := probe.latRad(), probe.lngRad()
+	bySquare, byHypot := -1, -1
+	var sq, h [2]float64
+	for i := range ix.segs {
+		x, y := ix.segs[i].offset(lat, lng)
+		sq[i], h[i] = x*x+y*y, math.Hypot(x, y)
+	}
+	if sq[0] < sq[1] {
+		bySquare = 0
+	} else if sq[1] < sq[0] {
+		bySquare = 1
+	}
+	if h[0] < h[1] {
+		byHypot = 0
+	} else if h[1] < h[0] {
+		byHypot = 1
+	}
+	if bySquare < 0 || byHypot < 0 || bySquare == byHypot {
+		t.Fatalf("not a near-tie: squares %v, Hypot %v", sq, h)
+	}
+
+	got, want := ix.DistanceTo(probe), bruteDistance(pts, probe)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("index %v, brute force %v", got, want)
+	}
 }
 
 // commuterPath is one commuter day at one fix a minute: a dwell at
@@ -263,5 +322,17 @@ func TestSegmentIndexQueryAllocs(t *testing.T) {
 	probe := Offset(pts[500], 20, -10)
 	if n := testing.AllocsPerRun(100, func() { ix.DistanceTo(probe) }); n != 0 {
 		t.Fatalf("DistanceTo allocates %v times per query, want 0", n)
+	}
+}
+
+// TestSegmentIndexResetAllocs pins Reset to zero allocations once the
+// index has the room: a day's path re-indexed over another day's.
+func TestSegmentIndexResetAllocs(t *testing.T) {
+	a := commuterPath(rand.New(rand.NewSource(3)))
+	b := commuterPath(rand.New(rand.NewSource(4)))
+	ix := mustIndex(t, a)
+	at := func(i int) Point { return b[i] }
+	if n := testing.AllocsPerRun(100, func() { ix.Reset(len(b), at) }); n != 0 {
+		t.Fatalf("Reset allocates %v times, want 0", n)
 	}
 }

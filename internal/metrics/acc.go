@@ -81,8 +81,13 @@ type DistSummary struct {
 // multiset and integer bin counts are both merge-order invariant, and
 // the regime depends only on the total count, so AddPair and Merge
 // still commute bit-identically.
+//
+// The accumulator owns one geo.SegmentIndex and re-indexes it in place
+// for every pair, so AddPair allocates nothing once the index has the
+// room for the longest path.
 type DistortionAcc struct {
-	reverse bool // completeness: original points vs published path
+	reverse bool             // completeness: original points vs published path
+	ix      geo.SegmentIndex // the path of the current pair
 	n       int64
 	sum     u128 // micrometers
 	min     float64
@@ -103,24 +108,24 @@ func NewCompletenessAcc() *DistortionAcc {
 	return &DistortionAcc{reverse: true, hist: make([]int64, stats.LogBins)}
 }
 
-// AddPair folds one user's distortion samples into the accumulator.
-// Either side nil means the user is one-sided: no samples.
+// AddPair folds one user's distortion samples into the accumulator:
+// each point of one side measured against the other side's path, as
+// TraceDistortion (CompletenessDistortion for the completeness
+// direction) would list them. Either side nil means the user is
+// one-sided: no samples.
 func (a *DistortionAcc) AddPair(orig, anon *trace.Trace) error {
 	if orig == nil || anon == nil {
 		return nil
 	}
-	var ds []float64
-	var err error
+	path, probes, side := orig, anon, "original"
 	if a.reverse {
-		ds, err = CompletenessDistortion(orig, anon)
-	} else {
-		ds, err = TraceDistortion(orig, anon)
+		path, probes, side = anon, orig, "published"
 	}
-	if err != nil {
-		return err
+	if err := a.ix.Reset(len(path.Points), func(i int) geo.Point { return path.Points[i].Point }); err != nil {
+		return fmt.Errorf("metrics: %s path: %w", side, err)
 	}
-	for _, d := range ds {
-		a.add(d)
+	for _, p := range probes.Points {
+		a.add(a.ix.DistanceTo(p.Point))
 	}
 	return nil
 }
@@ -223,49 +228,51 @@ func (g gridder) at(p geo.Point) cellID {
 	return cellID{int(math.Floor(v.X / g.cell)), int(math.Floor(v.Y / g.cell))}
 }
 
-// CoverageAcc accumulates the visited-cell sets of both datasets.
-type CoverageAcc struct {
+// CellAcc accumulates per-cell visit counts of both sides on one grid.
+// Coverage reads which cells each side visited, popularity how often,
+// so one map write per point serves both.
+type CellAcc struct {
 	grid gridder
-	orig map[cellID]struct{}
-	anon map[cellID]struct{}
+	orig map[cellID]int64
+	anon map[cellID]int64
 }
 
-// NewCoverageAcc returns a coverage accumulator on a grid of the given
-// cell size (meters) anchored at center.
-func NewCoverageAcc(center geo.Point, cellSize float64) (*CoverageAcc, error) {
+// NewCellAcc returns a cell accumulator on a grid of the given cell
+// size (meters) anchored at center.
+func NewCellAcc(center geo.Point, cellSize float64) (*CellAcc, error) {
 	grid, err := newGridder(center, cellSize)
 	if err != nil {
 		return nil, err
 	}
-	return &CoverageAcc{grid: grid, orig: make(map[cellID]struct{}), anon: make(map[cellID]struct{})}, nil
+	return &CellAcc{grid: grid, orig: make(map[cellID]int64), anon: make(map[cellID]int64)}, nil
 }
 
-// AddPair marks the cells visited by each non-nil side.
-func (a *CoverageAcc) AddPair(orig, anon *trace.Trace) {
-	mark := func(set map[cellID]struct{}, tr *trace.Trace) {
+// AddPair counts the cell visits of each non-nil side.
+func (a *CellAcc) AddPair(orig, anon *trace.Trace) {
+	count := func(m map[cellID]int64, tr *trace.Trace) {
 		if tr == nil {
 			return
 		}
 		for _, p := range tr.Points {
-			set[a.grid.at(p.Point)] = struct{}{}
+			m[a.grid.at(p.Point)]++
 		}
 	}
-	mark(a.orig, orig)
-	mark(a.anon, anon)
+	count(a.orig, orig)
+	count(a.anon, anon)
 }
 
-// Merge unions another accumulator's cell sets into a.
-func (a *CoverageAcc) Merge(b *CoverageAcc) {
-	for c := range b.orig {
-		a.orig[c] = struct{}{}
+// Merge adds another accumulator's visit counts into a.
+func (a *CellAcc) Merge(b *CellAcc) {
+	for c, n := range b.orig {
+		a.orig[c] += n
 	}
-	for c := range b.anon {
-		a.anon[c] = struct{}{}
+	for c, n := range b.anon {
+		a.anon[c] += n
 	}
 }
 
-// Result compares the accumulated cell sets.
-func (a *CoverageAcc) Result() CoverageResult {
+// Coverage compares the sets of visited cells.
+func (a *CellAcc) Coverage() CoverageResult {
 	var hit int
 	for c := range a.anon {
 		if _, ok := a.orig[c]; ok {
@@ -283,6 +290,13 @@ func (a *CoverageAcc) Result() CoverageResult {
 		res.F1 = 2 * res.Precision * res.Recall / (res.Precision + res.Recall)
 	}
 	return res
+}
+
+// PopularTau ranks the original cells by visit count (ties broken by
+// cell coordinates, so the ranking is deterministic) and returns the
+// Kendall tau of the top n cells' counts in the anonymized data.
+func (a *CellAcc) PopularTau(n int) (float64, error) {
+	return popularTau(a.orig, a.anon, n)
 }
 
 // LengthAcc accumulates the per-trace travelled distances of both
@@ -407,59 +421,6 @@ func (a *ODAcc) Result() (ODResult, error) {
 		OrigOD:   len(a.orig),
 		AnonOD:   len(a.anon),
 	}, nil
-}
-
-// PopularAcc accumulates per-cell visit counts for the popularity
-// ranking comparison.
-type PopularAcc struct {
-	grid gridder
-	topN int
-	orig map[cellID]int64
-	anon map[cellID]int64
-}
-
-// NewPopularAcc returns a popularity accumulator ranking the top n
-// cells of a grid of the given cell size anchored at center.
-func NewPopularAcc(center geo.Point, cellSize float64, n int) (*PopularAcc, error) {
-	if cellSize <= 0 || n <= 1 {
-		return nil, fmt.Errorf("metrics: need positive cell size and n > 1 (got %v, %d)", cellSize, n)
-	}
-	grid, err := newGridder(center, cellSize)
-	if err != nil {
-		return nil, err
-	}
-	return &PopularAcc{grid: grid, topN: n, orig: make(map[cellID]int64), anon: make(map[cellID]int64)}, nil
-}
-
-// AddPair counts the cell visits of each non-nil side.
-func (a *PopularAcc) AddPair(orig, anon *trace.Trace) {
-	count := func(m map[cellID]int64, tr *trace.Trace) {
-		if tr == nil {
-			return
-		}
-		for _, p := range tr.Points {
-			m[a.grid.at(p.Point)]++
-		}
-	}
-	count(a.orig, orig)
-	count(a.anon, anon)
-}
-
-// Merge adds another accumulator's visit counts into a.
-func (a *PopularAcc) Merge(b *PopularAcc) {
-	for c, n := range b.orig {
-		a.orig[c] += n
-	}
-	for c, n := range b.anon {
-		a.anon[c] += n
-	}
-}
-
-// Result ranks the original cells by visit count (ties broken by cell
-// coordinates, so the ranking is deterministic) and returns the Kendall
-// tau of their counts in the anonymized data.
-func (a *PopularAcc) Result() (float64, error) {
-	return popularTau(a.orig, a.anon, a.topN)
 }
 
 // RangeQueryAcc accumulates per-query disc counts for the range-query

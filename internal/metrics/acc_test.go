@@ -463,3 +463,34 @@ func TestRangeQueryBandMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestAccAddPairAllocs pins the geometric accumulators to zero
+// allocations per pair once one pair has warmed them up: DistortionAcc
+// in both directions re-indexes its own SegmentIndex in place, and
+// RangeQueryAcc reuses its neighbor buffer. Each side holds more than
+// 256 points, so the distortion samples are past the exact regime's
+// buffer after the first pair.
+func TestAccAddPairAllocs(t *testing.T) {
+	orig := quantTrace("u", 1, 400, 8)
+	anon := quantTrace("u", 2, 300, 8)
+	rq, err := NewRangeQueryAcc(orig.Bounds(), 100, 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, comp := NewDistortionAcc(), NewCompletenessAcc()
+	for _, c := range []struct {
+		name string
+		add  func() error
+	}{
+		{"distortion", func() error { return dist.AddPair(orig, anon) }},
+		{"completeness", func() error { return comp.AddPair(orig, anon) }},
+		{"range-query", func() error { rq.AddPair(orig, anon); return nil }},
+	} {
+		if err := c.add(); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() { c.add() }); n != 0 {
+			t.Errorf("%s: AddPair allocates %v times per pair, want 0", c.name, n)
+		}
+	}
+}

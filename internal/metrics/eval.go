@@ -86,13 +86,12 @@ func (o EvalOptions) withDefaults() EvalOptions {
 type EvalAcc struct {
 	opts EvalOptions
 
-	dist *DistortionAcc
-	comp *DistortionAcc
-	cov  *CoverageAcc
-	lens *LengthAcc
-	od   *ODAcc
-	pop  *PopularAcc
-	rq   *RangeQueryAcc
+	dist  *DistortionAcc
+	comp  *DistortionAcc
+	cells *CellAcc // coverage and popular cells
+	lens  *LengthAcc
+	od    *ODAcc
+	rq    *RangeQueryAcc
 
 	origTraces, anonTraces int64
 	origPoints, anonPoints int64
@@ -108,7 +107,7 @@ func NewEvalAcc(opts EvalOptions) (*EvalAcc, error) {
 		return nil, errEmptyOriginal
 	}
 	center := opts.Bounds.Center()
-	cov, err := NewCoverageAcc(center, opts.CellSize)
+	cells, err := NewCellAcc(center, opts.CellSize)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +115,7 @@ func NewEvalAcc(opts EvalOptions) (*EvalAcc, error) {
 	if err != nil {
 		return nil, err
 	}
-	pop, err := NewPopularAcc(center, opts.CellSize, opts.TopCells)
-	if err != nil {
+	if err := checkTopCells(opts.CellSize, opts.TopCells); err != nil {
 		return nil, err
 	}
 	rq, err := NewRangeQueryAcc(opts.Bounds, opts.Queries, opts.QueryRadius, opts.Seed)
@@ -125,14 +123,13 @@ func NewEvalAcc(opts EvalOptions) (*EvalAcc, error) {
 		return nil, err
 	}
 	acc := &EvalAcc{
-		opts: opts,
-		dist: NewDistortionAcc(),
-		comp: NewCompletenessAcc(),
-		cov:  cov,
-		lens: NewLengthAcc(),
-		od:   od,
-		pop:  pop,
-		rq:   rq,
+		opts:  opts,
+		dist:  NewDistortionAcc(),
+		comp:  NewCompletenessAcc(),
+		cells: cells,
+		lens:  NewLengthAcc(),
+		od:    od,
+		rq:    rq,
 	}
 	if opts.Attack != nil {
 		if acc.attack, err = risk.NewAttackAcc(opts.Attack.Truth, opts.Attack.Config); err != nil {
@@ -162,10 +159,9 @@ func (a *EvalAcc) AddPair(orig, anon *trace.Trace) error {
 	if err := a.comp.AddPair(orig, anon); err != nil {
 		return err
 	}
-	a.cov.AddPair(orig, anon)
+	a.cells.AddPair(orig, anon)
 	a.lens.AddPair(orig, anon)
 	a.od.AddPair(orig, anon)
-	a.pop.AddPair(orig, anon)
 	a.rq.AddPair(orig, anon)
 	if a.attack != nil && anon != nil {
 		a.attack.AddTrace(anon)
@@ -181,10 +177,9 @@ func (a *EvalAcc) Merge(b *EvalAcc) {
 	a.anonPoints += b.anonPoints
 	a.dist.Merge(b.dist)
 	a.comp.Merge(b.comp)
-	a.cov.Merge(b.cov)
+	a.cells.Merge(b.cells)
 	a.lens.Merge(b.lens)
 	a.od.Merge(b.od)
-	a.pop.Merge(b.pop)
 	a.rq.Merge(b.rq)
 	if a.attack != nil {
 		a.attack.Merge(b.attack)
@@ -206,7 +201,7 @@ func (a *EvalAcc) Report() (*Report, error) {
 		OrigPoints:  a.origPoints,
 		AnonPoints:  a.anonPoints,
 		Distortion:  a.dist.Summary(),
-		Coverage:    a.cov.Result(),
+		Coverage:    a.cells.Coverage(),
 	}
 	r.Completeness = a.comp.Summary()
 	var err error
@@ -219,7 +214,7 @@ func (a *EvalAcc) Report() (*Report, error) {
 	if r.QueryErrors, err = a.rq.Errors(); err != nil {
 		return nil, err
 	}
-	if tau, err := a.pop.Result(); err == nil {
+	if tau, err := a.cells.PopularTau(a.opts.TopCells); err == nil {
 		r.PopularTau, r.PopularOK = tau, true
 	}
 	if a.attack != nil {

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"mobipriv/internal/cliutil"
+	"mobipriv/internal/geo"
+	"mobipriv/internal/risk"
 	"mobipriv/internal/store"
 	"mobipriv/internal/trace"
 )
@@ -192,23 +194,41 @@ func benchEvalStores(b *testing.B, users, pointsEach int) (*store.Store, *store.
 var benchOpts = EvalOptions{Queries: 16}
 
 // BenchmarkEvalStore measures the streaming evaluation path end to end
-// in points/s. It runs without the POI attack, whose serial scoring
-// after the scan BenchmarkAttackResult (internal/risk) prices.
+// in points/s, with B/op and allocs/op as its allocation witness.
+// "utility" runs the utility metrics alone; "attack" adds the POI
+// attack with mobieval -stays's options (-cell 500 -queries 100 -seed
+// 1, the default attack configuration), the whole of what the
+// store-eval workload runs. Its ground truth is each original trace's
+// first point.
 func BenchmarkEvalStore(b *testing.B) {
-	orig, anon := benchEvalStores(b, 48, 400)
-	o := benchOpts
-	o.Scan = store.ScanOptions{Workers: runtime.NumCPU()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var points int64
-	for i := 0; i < b.N; i++ {
-		r, _, err := EvalStore(context.Background(), orig, anon, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points += r.OrigPoints + r.AnonPoints
+	const users, pointsEach = 48, 400
+	orig, anon := benchEvalStores(b, users, pointsEach)
+	truth := make(map[string][]geo.Point, users)
+	for u := 0; u < users; u++ {
+		tr := quantTrace(fmt.Sprintf("b%04d", u), u, pointsEach, 12)
+		truth[tr.User] = []geo.Point{tr.Points[0].Point}
 	}
-	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+	attack := EvalOptions{CellSize: 500, Queries: 100, Seed: 1}
+	attack.Attack = &AttackOptions{Truth: truth, Config: risk.DefaultAttackConfig()}
+	for _, c := range []struct {
+		name string
+		opts EvalOptions
+	}{{"utility", benchOpts}, {"attack", attack}} {
+		b.Run(c.name, func(b *testing.B) {
+			o := c.opts
+			o.Scan = store.ScanOptions{Workers: runtime.NumCPU()}
+			b.ReportAllocs()
+			var points int64
+			for b.Loop() {
+				r, _, err := EvalStore(context.Background(), orig, anon, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				points += r.OrigPoints + r.AnonPoints
+			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+		})
+	}
 }
 
 // BenchmarkEvalLoad is the batch baseline: Load both stores, then

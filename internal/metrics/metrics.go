@@ -6,8 +6,9 @@
 // spatial analyses.
 //
 // Every metric exists in two forms sharing one implementation: a
-// streaming accumulator (DistortionAcc, CoverageAcc, LengthAcc, ODAcc,
-// PopularAcc, RangeQueryAcc — see acc.go) fed trace pairs with AddPair
+// streaming accumulator (DistortionAcc, CellAcc for coverage and
+// popular cells, LengthAcc, ODAcc, RangeQueryAcc — see acc.go) fed
+// trace pairs with AddPair
 // and combined with Merge, and a Dataset-level function that is a thin
 // wrapper feeding a whole in-memory dataset through the accumulator.
 // The accumulators obey a determinism contract — AddPair and Merge
@@ -129,12 +130,12 @@ type CoverageResult struct {
 // Coverage rasterizes both datasets onto a square grid of the given cell
 // size (meters) and compares the visited-cell sets.
 func Coverage(orig, anon *trace.Dataset, cellSize float64) (CoverageResult, error) {
-	acc, err := NewCoverageAcc(orig.Bounds().Center(), cellSize)
+	acc, err := NewCellAcc(orig.Bounds().Center(), cellSize)
 	if err != nil {
 		return CoverageResult{}, err
 	}
 	feedDatasets(orig, anon, func(o, a *trace.Trace) { acc.AddPair(o, a) })
-	return acc.Result(), nil
+	return acc.Coverage(), nil
 }
 
 // feedDatasets drives an accumulator callback over two datasets the way
@@ -202,12 +203,23 @@ type odKey struct{ o, d cellID }
 // their counts in original versus anonymized data. 1 means the
 // popularity ranking is perfectly preserved.
 func PopularCellsTau(orig, anon *trace.Dataset, cellSize float64, n int) (float64, error) {
-	acc, err := NewPopularAcc(orig.Bounds().Center(), cellSize, n)
+	if err := checkTopCells(cellSize, n); err != nil {
+		return 0, err
+	}
+	acc, err := NewCellAcc(orig.Bounds().Center(), cellSize)
 	if err != nil {
 		return 0, err
 	}
 	feedDatasets(orig, anon, func(o, a *trace.Trace) { acc.AddPair(o, a) })
-	return acc.Result()
+	return acc.PopularTau(n)
+}
+
+// checkTopCells validates the parameters of the popular-cells metric.
+func checkTopCells(cellSize float64, n int) error {
+	if cellSize <= 0 || n <= 1 {
+		return fmt.Errorf("metrics: need positive cell size and n > 1 (got %v, %d)", cellSize, n)
+	}
+	return nil
 }
 
 // popularTau ranks the original cells (ties broken by coordinates) and

@@ -14,7 +14,9 @@ import (
 // PairScanFunc receives the two complete traces of one user, aligned
 // across an original and an anonymized store. Exactly one side is nil
 // for users present (after filtering) in only one store. Both traces
-// are freshly built and owned by the callee.
+// are freshly built and owned by the callee. Under ScanOptions.NoCache
+// a trace's Points are usually the very buffer its blocks were decoded
+// into, not a copy; no other reader holds it.
 type PairScanFunc func(orig, anon *trace.Trace) error
 
 // PairScanStats reports what a paired scan did: how many users were
@@ -106,34 +108,50 @@ func ScanTracesPaired(ctx context.Context, orig, anon *Store, opts ScanOptions, 
 	}
 
 	var mu sync.Mutex // guards OnlyOrig/OnlyAnon
-	build := func(user string, pts []trace.Point) (*trace.Trace, error) {
-		if len(pts) == 0 {
-			return nil, nil
+	// gather assembles one user's trace from the blocks idxs of side s,
+	// nil when no point survives the filters. It counts into a per-user
+	// ScanStats and folds that into the side's totals, so it knows
+	// whether this gather hit the block cache. Under NoCache one that
+	// did not holds the only reference to its points, and the trace
+	// keeps them as its storage: sorted stably in place and validated,
+	// as trace.New does to its copy. A store's points are time-sorted
+	// already, so they are validated first and sorted only when that
+	// fails; a stable sort of sorted points changes nothing.
+	gather := func(s *Store, user string, idxs []partBlock, side *ScanStats) (*trace.Trace, error) {
+		var local ScanStats
+		pts, err := s.gatherUser(idxs, users, opts, &local, &assembling, &assemblingPeak)
+		atomic.AddInt64(&side.BlocksTotal, local.BlocksTotal)
+		atomic.AddInt64(&side.BlocksPruned, local.BlocksPruned)
+		atomic.AddInt64(&side.BlocksDecoded, local.BlocksDecoded)
+		atomic.AddInt64(&side.CacheHits, local.CacheHits)
+		if err != nil || len(pts) == 0 {
+			return nil, err
 		}
-		tr, err := trace.New(user, pts)
+		var tr *trace.Trace
+		if opts.NoCache && local.CacheHits == 0 {
+			tr = &trace.Trace{User: user, Points: pts}
+			if err = tr.Validate(); err != nil {
+				sort.SliceStable(pts, func(a, b int) bool { return pts[a].Time.Before(pts[b].Time) })
+				err = tr.Validate()
+			}
+		} else {
+			tr, err = trace.New(user, pts) // pts may be the cache's
+		}
 		if err != nil {
 			return nil, fmt.Errorf("store: user %q: %w", user, err)
 		}
 		return tr, nil
 	}
 	gatherAnon := func(user string) (*trace.Trace, error) {
-		si := shardOf(user, anonShards)
-		idxs := anonBlocks[si][user]
+		idxs := anonBlocks[shardOf(user, anonShards)][user]
 		if len(idxs) == 0 {
 			return nil, nil
 		}
-		pts, err := anon.gatherUser(idxs, users, opts, &st.Anon, &assembling, &assemblingPeak)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := build(user, pts)
-		if err != nil {
-			return nil, err
-		}
+		tr, err := gather(anon, user, idxs, &st.Anon)
 		if tr != nil {
 			atomic.AddInt64(&st.Anon.Points, int64(tr.Len()))
 		}
-		return tr, nil
+		return tr, err
 	}
 
 	// Pass 1: walk the original store; every user found here has both
@@ -150,11 +168,7 @@ func ScanTracesPaired(ctx context.Context, orig, anon *Store, opts ScanOptions, 
 				// traces from both stores at once.
 				par.PeakAdd(&inFlight, &st.PeakBufferedUsers)
 				defer atomic.AddInt64(&inFlight, -1)
-				pts, err := orig.gatherUser(blocks[user], users, opts, &st.Orig, &assembling, &assemblingPeak)
-				if err != nil {
-					return err
-				}
-				otr, err := build(user, pts)
+				otr, err := gather(orig, user, blocks[user], &st.Orig)
 				if err != nil {
 					return err
 				}

@@ -346,3 +346,52 @@ func TestScanTracesPairedErrors(t *testing.T) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
+
+// TestScanTracesPairedOwnsTraces pins the ownership contract when the
+// block cache holds what a scan reads: a callee that scribbles over
+// the traces it was handed, with the cache on and under NoCache alike,
+// must not change what later scans read. Under NoCache a gather that
+// hit the cache copies, and one that decoded its own blocks hands them
+// over.
+func TestScanTracesPairedOwnsTraces(t *testing.T) {
+	var traces []*trace.Trace
+	for u := 0; u < 4; u++ {
+		traces = append(traces, quantizedTrace(fmt.Sprintf("o%d", u), u, 20))
+	}
+	ds := trace.MustNewDataset(traces)
+	dir := filepath.Join(t.TempDir(), "single.mstore")
+	if err := WriteDataset(dir, ds, Options{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	single, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Close() })
+	fragmented := buildFragmented(t, traces, 2, 7)
+
+	scribble := func(o, a *trace.Trace) error {
+		for _, tr := range []*trace.Trace{o, a} {
+			for i := range tr.Points {
+				tr.Points[i].Lat, tr.Points[i].Lng = 0, 0
+			}
+		}
+		return nil
+	}
+	for name, s := range map[string]*Store{"single-block": single, "fragmented": fragmented} {
+		for _, opts := range []ScanOptions{{NoCache: true}, {}, {NoCache: true}} {
+			if _, err := ScanTracesPaired(context.Background(), s, s, opts, scribble); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := collectPairs(t, s, s, ScanOptions{NoCache: true})
+		for _, want := range traces {
+			pair := res.pairs[want.User]
+			sameTrace(t, want, pair[0])
+			sameTrace(t, want, pair[1])
+		}
+		if st := res.stats; st.Orig.CacheHits == 0 {
+			t.Errorf("%s: the final scan hit no cache entry, so the test proves nothing", name)
+		}
+	}
+}

@@ -232,7 +232,10 @@ type ScanOptions struct {
 	// NoCache keeps this scan from inserting decoded blocks into the
 	// LRU cache — for one-shot full passes (Load) that would only
 	// evict useful entries and pin dead memory. Existing cache entries
-	// are still used.
+	// are still used. Because nothing else keeps the blocks it decodes,
+	// ScanTracesPaired hands them over: a user's gathered buffer
+	// becomes its trace's Points, without a copy, unless a block came
+	// from the cache.
 	NoCache bool
 
 	// Stats, when non-nil, receives the scan's pruning and cache
