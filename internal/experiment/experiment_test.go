@@ -3,10 +3,18 @@ package experiment
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// update rewrites the golden file instead of comparing against it:
+//
+//	go test ./internal/experiment -run TestAllExperimentsRunQuick -args -update
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -67,11 +75,15 @@ func TestScaleString(t *testing.T) {
 }
 
 // TestAllExperimentsRunQuick executes every experiment at Quick scale —
-// the repository's top-level integration test.
+// the repository's top-level integration test — and compares the
+// rendered tables with testdata/quick_golden.txt byte for byte. Quick
+// tables carry no wall-clock numbers, so any drift is a change in what
+// an experiment measures; regenerate deliberately with -update.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still take a few seconds")
 	}
+	var all bytes.Buffer
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -95,7 +107,40 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Fatalf("%s render: %v", e.ID, err)
 			}
 			t.Logf("\n%s", buf.String())
+			all.Write(buf.Bytes())
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	golden := filepath.Join("testdata", "quick_golden.txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -args -update to create it)", err)
+	}
+	if !bytes.Equal(want, all.Bytes()) {
+		wl := strings.Split(string(want), "\n")
+		gl := strings.Split(all.String(), "\n")
+		for i := 0; i < max(len(wl), len(gl)); i++ {
+			var w, g string
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if w != g {
+				t.Errorf("line %d drifted from %s:\n want %q\n got  %q", i+1, golden, w, g)
+			}
+		}
 	}
 }
 
