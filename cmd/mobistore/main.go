@@ -376,20 +376,12 @@ func runDiff(args []string, stdout io.Writer) error {
 				return nil // one-sided users are reported from the stats
 			}
 			row := diffRow{user: o.User, origPts: o.Len(), anonPts: a.Len()}
-			if a.Len() > 0 {
-				disp, err := metrics.TraceDistortion(o, a)
-				if err != nil {
-					return fmt.Errorf("user %s: %w", o.User, err)
-				}
-				var sum float64
-				for _, d := range disp {
-					sum += d
-					if d > row.maxDisp {
-						row.maxDisp = d
-					}
-				}
-				row.meanDisp = sum / float64(len(disp))
+			acc := metrics.NewDistortionAcc()
+			if err := acc.AddPair(o, a); err != nil {
+				return fmt.Errorf("user %s: %w", o.User, err)
 			}
+			sum := acc.Summary()
+			row.meanDisp, row.maxDisp = sum.Mean, sum.Max
 			mu.Lock()
 			rows = append(rows, row)
 			mu.Unlock()

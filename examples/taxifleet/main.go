@@ -62,23 +62,16 @@ func main() {
 	fmt.Printf("  published: %s\n", after.Global)
 
 	// Utility: does the published fleet still describe the city?
-	cov, err := metrics.Coverage(g.Dataset, res.Dataset, 500)
+	rep, err := metrics.EvalDataset(g.Dataset, res.Dataset, metrics.EvalOptions{CellSize: 500, Queries: 200, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cov := rep.Coverage
 	fmt.Printf("\nutility @500 m cells:\n  coverage F1 %.3f (%d original cells, %d published)\n",
 		cov.F1, cov.OrigCells, cov.AnonCells)
-	lens, err := metrics.TripLengths(g.Dataset, res.Dataset)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  trace length mean: %.1f km -> %.1f km\n", lens.OrigMean/1000, lens.AnonMean/1000)
-	rq, err := metrics.RangeQueryError(g.Dataset, res.Dataset, 200, 500, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("  trace length mean: %.1f km -> %.1f km\n", rep.Lengths.OrigMean/1000, rep.Lengths.AnonMean/1000)
 	fmt.Printf("  range-query density error: mean %.3f, p95 %.3f\n",
-		stats.Mean(rq), stats.Quantile(rq, 0.95))
+		stats.Mean(rep.QueryErrors), stats.Quantile(rep.QueryErrors, 0.95))
 
 	fmt.Printf("\n(total runtime excludes generation; anonymization handled %d points)\n",
 		g.Dataset.TotalPoints())

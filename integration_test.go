@@ -41,12 +41,12 @@ func TestHeadlineTaxiReproduction(t *testing.T) {
 	if anon.Global.F1 > 0.1 {
 		t.Errorf("POIs not hidden on fleet data: F1 = %v", anon.Global.F1)
 	}
-	cov, err := metrics.Coverage(g.Dataset, res.Dataset, 500)
+	rep, err := metrics.EvalDataset(g.Dataset, res.Dataset, metrics.EvalOptions{CellSize: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov.F1 < 0.9 {
-		t.Errorf("coverage destroyed: F1 = %v", cov.F1)
+	if rep.Coverage.F1 < 0.9 {
+		t.Errorf("coverage destroyed: F1 = %v", rep.Coverage.F1)
 	}
 }
 

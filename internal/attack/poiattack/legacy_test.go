@@ -12,12 +12,13 @@ import (
 
 	"mobipriv/internal/geo"
 	"mobipriv/internal/poi"
+	"mobipriv/internal/risk"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
 )
 
-func legacyNewScore(truth, extracted, matched int) Score {
-	s := Score{Truth: truth, Extracted: extracted, Matched: matched}
+func legacyNewScore(truth, extracted, matched int) risk.Score {
+	s := risk.Score{Truth: truth, Extracted: extracted, Matched: matched}
 	if extracted > 0 {
 		s.Precision = float64(matched) / float64(extracted)
 	}

@@ -25,16 +25,12 @@ package poiattack
 
 import (
 	"fmt"
-	"time"
 
 	"mobipriv/internal/geo"
 	"mobipriv/internal/risk"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
 )
-
-// Score is a precision/recall/F1 triple with raw counts.
-type Score = risk.Score
 
 // Result bundles the two scorings of one attack run.
 type Result = risk.Result
@@ -66,7 +62,3 @@ func Evaluate(published *trace.Dataset, stays []synth.Stay, cfg Config) (Result,
 	}
 	return acc.Result(), nil
 }
-
-// HideDuration is a convenience threshold re-exported for callers that
-// label ground truth themselves.
-const HideDuration = 5 * time.Minute

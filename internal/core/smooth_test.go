@@ -122,8 +122,8 @@ func TestSmoothHidesPOIs(t *testing.T) {
 // pathIndex indexes a trace's path for distance-to-path checks.
 func pathIndex(t *testing.T, tr *trace.Trace) *geo.SegmentIndex {
 	t.Helper()
-	ix, err := geo.NewSegmentIndex(len(tr.Points), func(i int) geo.Point { return tr.Points[i].Point })
-	if err != nil {
+	ix := &geo.SegmentIndex{}
+	if err := ix.Reset(len(tr.Points), func(i int) geo.Point { return tr.Points[i].Point }); err != nil {
 		t.Fatal(err)
 	}
 	return ix

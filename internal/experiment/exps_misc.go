@@ -6,7 +6,6 @@ import (
 	"mobipriv/internal/attack/poiattack"
 	"mobipriv/internal/baseline/w4m"
 	"mobipriv/internal/metrics"
-	"mobipriv/internal/stats"
 )
 
 func init() {
@@ -39,17 +38,17 @@ func runE8(s Scale) (*Table, error) {
 					fmtI(len(res.Suppressed)), "-", "-", "-")
 				continue
 			}
-			dist, err := metrics.DatasetDistortion(g.Dataset, res.Dataset)
-			if err != nil {
+			acc := metrics.NewDistortionAcc()
+			if err := metrics.FeedPairs(g.Dataset, res.Dataset, acc.AddPair); err != nil {
 				return nil, err
 			}
-			sum := stats.Summarize(dist)
+			sum := acc.Summary()
 			atk, err := poiattack.Evaluate(res.Dataset, g.Stays, poiattack.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
 			table.AddRow(fmtI(k), fmt.Sprintf("%.0f", delta), fmtI(len(res.Suppressed)),
-				fmtM(sum.Median), fmtM(sum.P95), fmtF(atk.PerUser.F1))
+				fmtM(sum.P50), fmtM(sum.P95), fmtF(atk.PerUser.F1))
 		}
 	}
 	table.AddNote("expected shape: distortion grows with k and shrinks with delta; POI F1 stays well above promesse's because stops survive")

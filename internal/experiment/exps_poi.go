@@ -11,7 +11,6 @@ import (
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/mixzone"
 	"mobipriv/internal/poi"
-	"mobipriv/internal/stats"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
 )
@@ -209,17 +208,13 @@ func runE6(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dist, err := metrics.DatasetDistortion(g.Dataset, published)
+		r, err := metrics.EvalDataset(g.Dataset, published, metrics.EvalOptions{})
 		if err != nil {
 			return nil, err
 		}
-		comp, err := metrics.DatasetCompleteness(g.Dataset, published)
-		if err != nil {
-			return nil, err
-		}
-		ds, cs := stats.Summarize(dist), stats.Summarize(comp)
+		ds, cs := r.Distortion, r.Completeness
 		table.AddRow(fmt.Sprintf("%.0f", eps), fmtF(res.PerUser.F1), fmtF(res.Global.F1),
-			fmtM(ds.Median), fmtM(cs.Median), fmtM(cs.P95), fmtI(published.TotalPoints()))
+			fmtM(ds.P50), fmtM(cs.P50), fmtM(cs.P95), fmtI(published.TotalPoints()))
 	}
 	table.AddNote("expected shape: F1 low across the sweep; pub->orig ~0 at every epsilon; orig->pub grows with epsilon (corner cutting + trimming)")
 	return table, nil

@@ -10,7 +10,6 @@ import (
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/mixzone"
 	"mobipriv/internal/poi"
-	"mobipriv/internal/stats"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
 )
@@ -245,11 +244,11 @@ func runE12(s Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ds, err := metrics.DatasetCompleteness(g.Dataset, sm)
-			if err != nil {
+			acc := metrics.NewCompletenessAcc()
+			if err := metrics.FeedPairs(g.Dataset, sm, acc.AddPair); err != nil {
 				return nil, err
 			}
-			dist = fmtM(stats.Median(ds))
+			dist = fmtM(acc.Summary().P50)
 		}
 		table.AddRow(v.name, fmtF(atk.Global.F1), fmtF(labelE2E(res)), fmtF(trk.EndToEnd),
 			fmtF(link.Rate), dist, fmtF(endpointLeak(g, published)))

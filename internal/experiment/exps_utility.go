@@ -3,6 +3,7 @@ package experiment
 import (
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/stats"
+	"mobipriv/internal/trace"
 )
 
 func init() {
@@ -36,16 +37,12 @@ func runE4(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dist, err := metrics.DatasetDistortion(g.Dataset, published)
+		r, err := metrics.EvalDataset(g.Dataset, published, metrics.EvalOptions{})
 		if err != nil {
 			return nil, err
 		}
-		comp, err := metrics.DatasetCompleteness(g.Dataset, published)
-		if err != nil {
-			return nil, err
-		}
-		ds, cs := stats.Summarize(dist), stats.Summarize(comp)
-		table.AddRow(m.name, fmtM(ds.Median), fmtM(ds.P95), fmtM(cs.Median), fmtM(cs.P95))
+		ds, cs := r.Distortion, r.Completeness
+		table.AddRow(m.name, fmtM(ds.P50), fmtM(ds.P95), fmtM(cs.P50), fmtM(cs.P95))
 	}
 	table.AddNote("expected shape: promesse pub->orig ~0 (published points lie on the original path) and orig->pub bounded by ~epsilon; geo-i median ~100 m to the nearest path segment (point displacement median is 167 m) at eps=0.01; w4m largest")
 	return table, nil
@@ -64,6 +61,7 @@ func runE5(s Scale) (*Table, error) {
 		Columns: []string{"mechanism", "100 m", "200 m", "500 m", "1000 m"},
 	}
 	cells := []float64{100, 200, 500, 1000}
+	center := g.Dataset.Bounds().Center()
 	for _, m := range standardMechanisms() {
 		published, err := m.apply(g.Dataset)
 		if err != nil {
@@ -71,11 +69,15 @@ func runE5(s Scale) (*Table, error) {
 		}
 		row := []string{m.name}
 		for _, c := range cells {
-			cov, err := metrics.Coverage(g.Dataset, published, c)
+			acc, err := metrics.NewCellAcc(center, c)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmtF(cov.F1))
+			metrics.FeedPairs(g.Dataset, published, func(o, a *trace.Trace) error {
+				acc.AddPair(o, a)
+				return nil
+			})
+			row = append(row, fmtF(acc.Coverage().F1))
 		}
 		table.AddRow(row...)
 	}
@@ -97,24 +99,45 @@ func runE11(s Scale) (*Table, error) {
 		Title:   "Analyst query suite (commuter workload)",
 		Columns: []string{"mechanism", "trip len err", "OD accuracy", "popular tau", "range qry err"},
 	}
+	box := g.Dataset.Bounds()
 	for _, m := range standardMechanisms() {
 		published, err := m.apply(g.Dataset)
 		if err != nil {
 			return nil, err
 		}
-		lens, err := metrics.TripLengths(g.Dataset, published)
+		lenAcc := metrics.NewLengthAcc()
+		odAcc, err := metrics.NewODAcc(box.Center(), 500)
 		if err != nil {
 			return nil, err
 		}
-		od, err := metrics.ODFlows(g.Dataset, published, 500)
+		cellAcc, err := metrics.NewCellAcc(box.Center(), 500)
 		if err != nil {
 			return nil, err
 		}
-		tau, err := metrics.PopularCellsTau(g.Dataset, published, 500, 20)
+		rqAcc, err := metrics.NewRangeQueryAcc(box, 100, 500, 1)
 		if err != nil {
 			return nil, err
 		}
-		rq, err := metrics.RangeQueryError(g.Dataset, published, 100, 500, 1)
+		metrics.FeedPairs(g.Dataset, published, func(o, a *trace.Trace) error {
+			lenAcc.AddPair(o, a)
+			odAcc.AddPair(o, a)
+			cellAcc.AddPair(o, a)
+			rqAcc.AddPair(o, a)
+			return nil
+		})
+		lens, err := lenAcc.Result()
+		if err != nil {
+			return nil, err
+		}
+		od, err := odAcc.Result()
+		if err != nil {
+			return nil, err
+		}
+		tau, err := cellAcc.PopularTau(20)
+		if err != nil {
+			return nil, err
+		}
+		rq, err := rqAcc.Errors()
 		if err != nil {
 			return nil, err
 		}

@@ -60,19 +60,10 @@ type segBox struct {
 	cmin                           float64 // smallest |cos| of the group's segments
 }
 
-// NewSegmentIndex indexes the path of n vertices, the i-th being at(i).
-// At least one vertex is required.
-func NewSegmentIndex(n int, at func(i int) Point) (*SegmentIndex, error) {
-	ix := &SegmentIndex{}
-	if err := ix.Reset(n, at); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Reset re-indexes ix in place over the path of n vertices, the i-th
-// being at(i), and answers from then on exactly as NewSegmentIndex(n,
-// at) would. It reuses the index's buffers and allocates nothing when
+// Reset indexes the path of n vertices, the i-th being at(i). The zero
+// SegmentIndex is empty; Reset fills it, and on an index already in use
+// it re-indexes in place and answers from then on exactly as a fresh
+// index would. It reuses the index's buffers and allocates nothing when
 // they have the room. At least one vertex is required; on error ix is
 // left unchanged.
 func (ix *SegmentIndex) Reset(n int, at func(i int) Point) error {

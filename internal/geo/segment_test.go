@@ -46,8 +46,8 @@ func bruteSegment(p, a, b Point) float64 {
 
 func mustIndex(t testing.TB, pts []Point) *SegmentIndex {
 	t.Helper()
-	ix, err := NewSegmentIndex(len(pts), func(i int) Point { return pts[i] })
-	if err != nil {
+	ix := &SegmentIndex{}
+	if err := ix.Reset(len(pts), func(i int) Point { return pts[i] }); err != nil {
 		t.Fatal(err)
 	}
 	return ix
@@ -107,7 +107,7 @@ func TestPolylineDistanceTo(t *testing.T) {
 	if got := mustIndex(t, []Point{lyon}).DistanceTo(Offset(lyon, 30, 40)); math.Abs(got-50) > 0.5 {
 		t.Errorf("single-vertex DistanceTo = %v, want 50", got)
 	}
-	if _, err := NewSegmentIndex(0, nil); err != ErrEmptyPolyline {
+	if err := new(SegmentIndex).Reset(0, nil); err != ErrEmptyPolyline {
 		t.Errorf("empty path: err = %v, want ErrEmptyPolyline", err)
 	}
 }

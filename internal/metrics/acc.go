@@ -11,11 +11,10 @@ import (
 	"mobipriv/internal/trace"
 )
 
-// This file holds the streaming accumulator form of every metric: one
-// accumulator per metric, fed trace pairs with AddPair and combined
-// with Merge. The Dataset-level functions in metrics.go are thin
-// wrappers that feed a whole dataset through an accumulator, so batch
-// and store-native evaluation share one implementation.
+// This file holds every metric's one implementation: one accumulator
+// per metric, fed trace pairs with AddPair and combined with Merge.
+// FeedPairs drives one over two in-memory datasets, a paired store scan
+// over two stores, so batch and store-native evaluation share it.
 //
 // The determinism contract every accumulator obeys: AddPair and Merge
 // commute — any partition of the input pairs over any number of
@@ -64,15 +63,24 @@ type DistSummary struct {
 	N        int64
 	Mean     float64 // exact (integer-sum) mean
 	Min, Max float64 // exact
-	// P50 and P95 are exact order statistics up to 256 samples, log-bin
-	// histogram quantiles (~4.5% relative resolution) beyond.
+	// P50 and P95 are lower quantiles: the sample at rank
+	// floor(q*(n-1)), never interpolated between neighbours. Up to 256
+	// samples each is that order statistic itself. Beyond, each is the
+	// lower edge of the log bin holding that rank, clamped to [Min,
+	// Max]: below the order statistic by less than one bin width, which
+	// is at most 1/16 of the edge, so by under 6%. Either way they can
+	// read below an interpolated quantile such as stats.Quantile's.
 	P50, P95 float64
 }
 
-// DistortionAcc pools per-point spatial distortion samples
-// (TraceDistortion; with the completeness direction it pools
-// CompletenessDistortion). Only users present on both sides contribute,
-// so one-sided AddPair calls are no-ops.
+// DistortionAcc pools per-point spatial distortion samples: for every
+// published point, the distance in meters to the user's original path
+// (pure geometry — time is ignored, because the mechanism under
+// evaluation distorts time by design). The completeness direction pools
+// the reverse, every original point's distance to the published path,
+// where trimming, suppression and corner-cutting show up. Only users
+// present on both sides contribute, so one-sided AddPair calls are
+// no-ops.
 //
 // Quantiles are exact up to 256 samples and come from log bins beyond:
 // the accumulator keeps every pooled sample, so P50/P95 are exact order
@@ -109,10 +117,8 @@ func NewCompletenessAcc() *DistortionAcc {
 }
 
 // AddPair folds one user's distortion samples into the accumulator:
-// each point of one side measured against the other side's path, as
-// TraceDistortion (CompletenessDistortion for the completeness
-// direction) would list them. Either side nil means the user is
-// one-sided: no samples.
+// each point of one side measured against the other side's path.
+// Either side nil means the user is one-sided: no samples.
 func (a *DistortionAcc) AddPair(orig, anon *trace.Trace) error {
 	if orig == nil || anon == nil {
 		return nil
@@ -492,7 +498,10 @@ func (a *RangeQueryAcc) Merge(b *RangeQueryAcc) {
 }
 
 // Errors returns the per-query relative error of the normalized
-// density, exactly as RangeQueryError defines it.
+// density: the fraction of each side's observations inside the disc.
+// Fractions rather than raw counts keep the metric meaningful for
+// mechanisms that change the number of published points (smoothing,
+// suppression).
 func (a *RangeQueryAcc) Errors() ([]float64, error) {
 	if a.origTotal == 0 {
 		return nil, errEmptyOriginal

@@ -99,7 +99,7 @@ func TestAccMergeOrderInvariance(t *testing.T) {
 }
 
 // TestDistortionAccMatchesSamples pins the accumulator's exact fields
-// (count, mean, min, max) against the pooled-sample implementation, and
+// (count, mean, min, max) against a pooled-sample reference, and
 // its histogram quantiles to the documented resolution.
 func TestDistortionAccMatchesSamples(t *testing.T) {
 	orig := trace.MustNewDataset([]*trace.Trace{
@@ -110,9 +110,18 @@ func TestDistortionAccMatchesSamples(t *testing.T) {
 		eastTrace("a", 12, 100, 60),
 		eastTrace("b", 9, 100, 1130),
 	})
-	samples, err := DatasetDistortion(orig, anon)
-	if err != nil {
-		t.Fatal(err)
+	// The reference pools every published point's distance to its
+	// user's original path.
+	var samples []float64
+	for _, at := range anon.Traces() {
+		ot := orig.ByUser(at.User)
+		var ix geo.SegmentIndex
+		if err := ix.Reset(ot.Len(), func(i int) geo.Point { return ot.Points[i].Point }); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range at.Points {
+			samples = append(samples, ix.DistanceTo(p.Point))
+		}
 	}
 	acc := NewDistortionAcc()
 	for _, at := range anon.Traces() {
@@ -376,43 +385,6 @@ func TestQueryPointsKnownAnswer(t *testing.T) {
 		if long[i] != short[i] {
 			t.Errorf("query %d changed with n: %v vs %v", i, long[i], short[i])
 		}
-	}
-}
-
-// TestRangeQueryAccMatchesFunction pins wrapper and accumulator to each
-// other on a split-and-merged run.
-func TestRangeQueryAccMatchesFunction(t *testing.T) {
-	orig := trace.MustNewDataset([]*trace.Trace{
-		eastTrace("a", 30, 100, 0),
-		eastTrace("b", 30, 100, 200),
-	})
-	anon := trace.MustNewDataset([]*trace.Trace{
-		eastTrace("a", 25, 100, 400),
-		eastTrace("c", 10, 100, 100),
-	})
-	want, err := RangeQueryError(orig, anon, 40, 500, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := NewRangeQueryAcc(orig.Bounds(), 40, 500, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := NewRangeQueryAcc(orig.Bounds(), 40, 500, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Split the union across two accumulators, merged.
-	a1.AddPair(orig.ByUser("a"), anon.ByUser("a"))
-	a2.AddPair(orig.ByUser("b"), nil)
-	a2.AddPair(nil, anon.ByUser("c"))
-	a1.Merge(a2)
-	got, err := a1.Errors()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("accumulator errors differ from RangeQueryError:\nwant %v\ngot  %v", want, got)
 	}
 }
 

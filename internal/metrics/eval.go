@@ -328,14 +328,8 @@ func EvalDataset(orig, anon *trace.Dataset, opts EvalOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var addErr error
-	feedDatasets(orig, anon, func(o, a *trace.Trace) {
-		if addErr == nil {
-			addErr = acc.AddPair(o, a)
-		}
-	})
-	if addErr != nil {
-		return nil, addErr
+	if err := FeedPairs(orig, anon, acc.AddPair); err != nil {
+		return nil, err
 	}
 	return acc.Report()
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -27,30 +28,38 @@ func eastTrace(user string, n int, spacing float64, dy float64) *trace.Trace {
 	return trace.MustNew(user, pts)
 }
 
-func TestTraceDistortionZeroForIdentity(t *testing.T) {
-	tr := eastTrace("u", 20, 100, 0)
-	ds, err := TraceDistortion(tr, tr)
-	if err != nil {
+// distortion pools one pair through a fresh accumulator of the given
+// direction.
+func distortion(t *testing.T, acc *DistortionAcc, orig, anon *trace.Trace) DistSummary {
+	t.Helper()
+	if err := acc.AddPair(orig, anon); err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range ds {
-		if d > 0.01 {
-			t.Fatalf("self distortion[%d] = %v", i, d)
-		}
+	return acc.Summary()
+}
+
+// feed runs FeedPairs over an accumulator whose AddPair cannot fail.
+func feed(t *testing.T, orig, anon *trace.Dataset, add func(o, a *trace.Trace)) {
+	t.Helper()
+	if err := FeedPairs(orig, anon, func(o, a *trace.Trace) error { add(o, a); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTraceDistortionZeroForIdentity(t *testing.T) {
+	tr := eastTrace("u", 20, 100, 0)
+	s := distortion(t, NewDistortionAcc(), tr, tr)
+	if s.N != 20 || s.Max > 0.01 {
+		t.Fatalf("self distortion %+v, want 20 samples of at most 0.01", s)
 	}
 }
 
 func TestTraceDistortionKnownOffset(t *testing.T) {
 	orig := eastTrace("u", 20, 100, 0)
 	shifted := eastTrace("u", 20, 100, 150) // parallel path 150 m north
-	ds, err := TraceDistortion(orig, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range ds {
-		if math.Abs(d-150) > 2 {
-			t.Fatalf("distortion[%d] = %v, want ~150", i, d)
-		}
+	s := distortion(t, NewDistortionAcc(), orig, shifted)
+	if s.N != 20 || math.Abs(s.Min-150) > 2 || math.Abs(s.Max-150) > 2 {
+		t.Fatalf("distortion %+v, want 20 samples of ~150", s)
 	}
 }
 
@@ -62,12 +71,8 @@ func TestTraceDistortionIgnoresTime(t *testing.T) {
 		pts[i] = trace.Point{Point: p.Point, Time: t0.Add(time.Duration(i) * 7 * time.Hour)}
 	}
 	warped := trace.MustNew("u", pts)
-	ds, err := TraceDistortion(orig, warped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Max(ds) > 0.01 {
-		t.Fatalf("time warping should not register as spatial distortion, max=%v", slices.Max(ds))
+	if s := distortion(t, NewDistortionAcc(), orig, warped); s.Max > 0.01 {
+		t.Fatalf("time warping should not register as spatial distortion, max=%v", s.Max)
 	}
 }
 
@@ -75,17 +80,22 @@ func TestCompletenessDistortionDetectsTrimming(t *testing.T) {
 	orig := eastTrace("u", 30, 100, 0) // 2.9 km path
 	// Published: only the middle third.
 	mid := trace.MustNew("u", append([]trace.Point(nil), orig.Points[10:20]...))
-	ds, err := CompletenessDistortion(orig, mid)
-	if err != nil {
-		t.Fatal(err)
+	// completeness(i) is original point i's distance to the published
+	// path: a one-point original trace pools exactly that sample.
+	completeness := func(i int) float64 {
+		probe := trace.MustNew("u", orig.Points[i:i+1])
+		return distortion(t, NewCompletenessAcc(), probe, mid).Max
 	}
 	// The first original point is 1000 m from the published path start.
-	if ds[0] < 900 {
-		t.Fatalf("completeness[0] = %v, want ~1000", ds[0])
+	if d := completeness(0); d < 900 {
+		t.Fatalf("completeness[0] = %v, want ~1000", d)
 	}
 	// Middle points are covered.
-	if ds[15] > 1 {
-		t.Fatalf("completeness[15] = %v, want ~0", ds[15])
+	if d := completeness(15); d > 1 {
+		t.Fatalf("completeness[15] = %v, want ~0", d)
+	}
+	if s := distortion(t, NewCompletenessAcc(), orig, mid); s.N != 30 {
+		t.Fatalf("completeness pooled %d samples, want one per original point (30)", s.N)
 	}
 }
 
@@ -98,15 +108,14 @@ func TestDatasetDistortion(t *testing.T) {
 		eastTrace("a", 10, 100, 50),   // 50 m off
 		eastTrace("b", 10, 100, 1100), // 100 m off
 	})
-	ds, err := DatasetDistortion(orig, anon)
+	r, err := EvalDataset(orig, anon, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 20 {
-		t.Fatalf("pooled %d samples, want 20", len(ds))
+	if r.Distortion.N != 20 {
+		t.Fatalf("pooled %d samples, want 20", r.Distortion.N)
 	}
-	med := stats.Median(ds)
-	if med < 40 || med > 110 {
+	if med := r.Distortion.P50; med < 40 || med > 110 {
 		t.Fatalf("median distortion = %v", med)
 	}
 }
@@ -114,17 +123,59 @@ func TestDatasetDistortion(t *testing.T) {
 func TestDatasetDistortionNoCommonUsers(t *testing.T) {
 	orig := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 5, 100, 0)})
 	anon := trace.MustNewDataset([]*trace.Trace{eastTrace("x", 5, 100, 0)})
-	if _, err := DatasetDistortion(orig, anon); err == nil {
-		t.Fatal("expected ErrNoCommonUsers")
+	r, err := EvalDataset(orig, anon, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if r.Distortion.N != 0 || r.Completeness.N != 0 {
+		t.Fatalf("disjoint users pooled distortion %+v, completeness %+v; want none", r.Distortion, r.Completeness)
+	}
+}
+
+// TestFeedPairs pins the paired-scan order FeedPairs drives: every
+// original user with its published trace or nil, then the published-only
+// users, stopping at the first error.
+func TestFeedPairs(t *testing.T) {
+	orig := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 5, 100, 0), eastTrace("b", 5, 100, 0)})
+	anon := trace.MustNewDataset([]*trace.Trace{eastTrace("b", 5, 100, 0), eastTrace("c", 5, 100, 0)})
+	name := func(tr *trace.Trace) string {
+		if tr == nil {
+			return "-"
+		}
+		return tr.User
+	}
+	var got []string
+	if err := FeedPairs(orig, anon, func(o, a *trace.Trace) error {
+		got = append(got, name(o)+name(a))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a-", "bb", "-c"}; !slices.Equal(got, want) {
+		t.Fatalf("pairs %v, want %v", got, want)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := FeedPairs(orig, anon, func(o, a *trace.Trace) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("FeedPairs = %v after %d calls, want the first error after 1", err, calls)
+	}
+}
+
+// coverage compares the visited cells of two datasets on a grid
+// anchored at the original's bounding box.
+func coverage(t *testing.T, orig, anon *trace.Dataset, cellSize float64) CoverageResult {
+	t.Helper()
+	acc, err := NewCellAcc(orig.Bounds().Center(), cellSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, orig, anon, acc.AddPair)
+	return acc.Coverage()
 }
 
 func TestCoveragePerfect(t *testing.T) {
 	d := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 20, 100, 0)})
-	res, err := Coverage(d, d, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coverage(t, d, d, 200)
 	if res.F1 != 1 || res.Precision != 1 || res.Recall != 1 {
 		t.Fatalf("self coverage = %+v", res)
 	}
@@ -136,40 +187,36 @@ func TestCoveragePerfect(t *testing.T) {
 func TestCoverageDisplacedData(t *testing.T) {
 	orig := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 20, 100, 0)})
 	far := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 20, 100, 5000)})
-	res, err := Coverage(orig, far, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.F1 != 0 {
+	if res := coverage(t, orig, far, 200); res.F1 != 0 {
 		t.Fatalf("disjoint coverage F1 = %v, want 0", res.F1)
 	}
 	// Coarser cells than the displacement: everything matches again.
-	res, err = Coverage(orig, far, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.F1 != 1 {
+	if res := coverage(t, orig, far, 50000); res.F1 != 1 {
 		t.Fatalf("coarse coverage F1 = %v, want 1", res.F1)
 	}
 }
 
 func TestCoverageValidation(t *testing.T) {
-	d := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 5, 100, 0)})
-	if _, err := Coverage(d, d, 0); err == nil {
+	if _, err := NewCellAcc(origin, 0); err == nil {
 		t.Fatal("cell size 0 accepted")
 	}
 }
 
 func TestTripLengths(t *testing.T) {
+	lengths := func(orig, anon *trace.Dataset) LengthStats {
+		acc := NewLengthAcc()
+		feed(t, orig, anon, acc.AddPair)
+		ls, err := acc.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ls
+	}
 	orig := trace.MustNewDataset([]*trace.Trace{
 		eastTrace("a", 11, 100, 0), // 1000 m
 		eastTrace("b", 21, 100, 500),
 	})
-	same, err := TripLengths(orig, orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.MeanRelError > 1e-9 || same.DecileError > 1e-9 {
+	if same := lengths(orig, orig); same.MeanRelError > 1e-9 || same.DecileError > 1e-9 {
 		t.Fatalf("self comparison: %+v", same)
 	}
 	// Halved lengths.
@@ -177,25 +224,29 @@ func TestTripLengths(t *testing.T) {
 		eastTrace("a", 6, 100, 0), // 500 m
 		eastTrace("b", 11, 100, 500),
 	})
-	halved, err := TripLengths(orig, anon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if halved.MeanRelError < 0.4 || halved.MeanRelError > 0.6 {
+	if halved := lengths(orig, anon); halved.MeanRelError < 0.4 || halved.MeanRelError > 0.6 {
 		t.Fatalf("MeanRelError = %v, want ~0.5", halved.MeanRelError)
 	}
 }
 
 func TestODFlows(t *testing.T) {
+	flows := func(orig, anon *trace.Dataset) ODResult {
+		acc, err := NewODAcc(orig.Bounds().Center(), 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, orig, anon, acc.AddPair)
+		res, err := acc.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	orig := trace.MustNewDataset([]*trace.Trace{
 		eastTrace("a", 20, 100, 0),
 		eastTrace("b", 20, 100, 100),
 	})
-	res, err := ODFlows(orig, orig, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accuracy != 1 {
+	if res := flows(orig, orig); res.Accuracy != 1 {
 		t.Fatalf("self OD accuracy = %v", res.Accuracy)
 	}
 	// A dataset heading the other way has entirely different OD pairs.
@@ -203,11 +254,7 @@ func TestODFlows(t *testing.T) {
 		eastTrace("a", 20, -100, 0),
 		eastTrace("b", 20, -100, 100),
 	})
-	res, err = ODFlows(orig, rev, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accuracy != 0 {
+	if res := flows(orig, rev); res.Accuracy != 0 {
 		t.Fatalf("reversed OD accuracy = %v, want 0", res.Accuracy)
 	}
 }
@@ -218,19 +265,40 @@ func TestPopularCellsTau(t *testing.T) {
 		eastTrace("b", 30, 100, 50),
 		eastTrace("c", 15, 100, 25),
 	})
-	tau, err := PopularCellsTau(d, d, 500, 5)
+	acc, err := NewCellAcc(d.Bounds().Center(), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, d, d, acc.AddPair)
+	tau, err := acc.PopularTau(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tau != 1 {
 		t.Fatalf("self tau = %v, want 1", tau)
 	}
-	if _, err := PopularCellsTau(d, d, 0, 5); err == nil {
+	if _, err := NewCellAcc(d.Bounds().Center(), 0); err == nil {
 		t.Fatal("bad cell size accepted")
 	}
-	if _, err := PopularCellsTau(d, d, 500, 1); err == nil {
+	if _, err := NewEvalAcc(EvalOptions{Bounds: d.Bounds(), TopCells: 1}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
+}
+
+// rangeQueryErrors runs n seeded disc-counting queries over the
+// original's bounding box against both datasets.
+func rangeQueryErrors(t *testing.T, orig, anon *trace.Dataset, n int, radius float64, seed int64) []float64 {
+	t.Helper()
+	acc, err := NewRangeQueryAcc(orig.Bounds(), n, radius, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, orig, anon, acc.AddPair)
+	errs, err := acc.Errors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return errs
 }
 
 func TestRangeQueryError(t *testing.T) {
@@ -238,40 +306,28 @@ func TestRangeQueryError(t *testing.T) {
 		eastTrace("a", 30, 100, 0),
 		eastTrace("b", 30, 100, 200),
 	})
-	errsSelf, err := RangeQueryError(d, d, 50, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsSelf := rangeQueryErrors(t, d, d, 50, 500, 1)
 	if slices.Max(errsSelf) != 0 {
 		t.Fatalf("self query error max = %v", slices.Max(errsSelf))
 	}
 	// Against an empty-ish (displaced) dataset errors are large.
 	far := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 30, 100, 50000)})
-	errsFar, err := RangeQueryError(d, far, 50, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsFar := rangeQueryErrors(t, d, far, 50, 500, 1)
 	if stats.Mean(errsFar) <= stats.Mean(errsSelf) {
 		t.Fatal("displaced dataset should have higher query error")
 	}
-	if _, err := RangeQueryError(d, d, 0, 500, 1); err == nil {
+	if _, err := NewRangeQueryAcc(d.Bounds(), 0, 500, 1); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := RangeQueryError(d, d, 10, -5, 1); err == nil {
+	if _, err := NewRangeQueryAcc(d.Bounds(), 10, -5, 1); err == nil {
 		t.Fatal("negative radius accepted")
 	}
 }
 
 func TestRangeQueryDeterministic(t *testing.T) {
 	d := trace.MustNewDataset([]*trace.Trace{eastTrace("a", 30, 100, 0)})
-	e1, err := RangeQueryError(d, d, 20, 300, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := RangeQueryError(d, d, 20, 300, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := rangeQueryErrors(t, d, d, 20, 300, 9)
+	e2 := rangeQueryErrors(t, d, d, 20, 300, 9)
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatal("same seed must give same queries")

@@ -1,5 +1,5 @@
 // Package stats provides the small set of descriptive statistics used by
-// the evaluation harness: moments, quantiles and rank correlation, which
+// the evaluation harness: means, quantiles and rank correlation, which
 // operate on float64 slices and are deliberately allocation-light, and
 // the log-bin geometry (LogBin, LogBinEdge, LogBinRank) that the
 // mergeable histograms of internal/metrics and internal/obs share.
@@ -26,23 +26,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance, or 0 for samples of size < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 func mustNonEmpty(xs []float64) {
 	if len(xs) == 0 {
@@ -79,42 +62,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 
 // Median returns the 0.5 quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Summary holds the descriptive statistics reported in experiment tables.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P95    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary in a single sort. It returns the zero
-// Summary for an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:      len(sorted),
-		Mean:   Mean(sorted),
-		StdDev: StdDev(sorted),
-		Min:    sorted[0],
-		P25:    quantileSorted(sorted, 0.25),
-		Median: quantileSorted(sorted, 0.5),
-		P75:    quantileSorted(sorted, 0.75),
-		P95:    quantileSorted(sorted, 0.95),
-		P99:    quantileSorted(sorted, 0.99),
-		Max:    sorted[len(sorted)-1],
-	}
-}
 
 // KendallTau returns the Kendall rank correlation (tau-b, which corrects
 // for ties) of two equal-length samples; used to compare popularity

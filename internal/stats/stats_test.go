@@ -9,19 +9,13 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Error("an empty sample should give 0")
 	}
 }
 
@@ -65,23 +59,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatal("Quantile must not sort its input in place")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if got := Summarize(nil); got.N != 0 {
-		t.Fatalf("empty Summarize = %+v", got)
-	}
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i) // 0..100
-	}
-	s := Summarize(xs)
-	if s.N != 101 || s.Min != 0 || s.Max != 100 || s.Median != 50 || s.Mean != 50 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.P25 != 25 || s.P75 != 75 || s.P95 != 95 || s.P99 != 99 {
-		t.Errorf("quantiles = %+v", s)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,20 +319,20 @@ func TestScanFiltersAndPruning(t *testing.T) {
 			}
 		}
 		var stats ScanStats
-		got := 0
+		var got atomic.Int64 // the callback runs on up to 4 workers at once
 		err := s.Scan(ctx, ScanOptions{BBox: box, Workers: 4, Stats: &stats}, func(_ string, pts []trace.Point) error {
 			for _, p := range pts {
 				if !box.Contains(p.Point) {
 					t.Errorf("point %v outside bbox", p)
 				}
 			}
-			got += len(pts)
+			got.Add(int64(len(pts)))
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if got := int(got.Load()); got != want {
 			t.Errorf("yielded %d points, want %d", got, want)
 		}
 	})
