@@ -73,10 +73,12 @@ func runE5(s Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			metrics.FeedPairs(g.Dataset, published, func(o, a *trace.Trace) error {
+			if err := metrics.FeedPairs(g.Dataset, published, func(o, a *trace.Trace) error {
 				acc.AddPair(o, a)
 				return nil
-			})
+			}); err != nil {
+				return nil, err
+			}
 			row = append(row, fmtF(acc.Coverage().F1))
 		}
 		table.AddRow(row...)
@@ -118,13 +120,15 @@ func runE11(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		metrics.FeedPairs(g.Dataset, published, func(o, a *trace.Trace) error {
+		if err := metrics.FeedPairs(g.Dataset, published, func(o, a *trace.Trace) error {
 			lenAcc.AddPair(o, a)
 			odAcc.AddPair(o, a)
 			cellAcc.AddPair(o, a)
 			rqAcc.AddPair(o, a)
 			return nil
-		})
+		}); err != nil {
+			return nil, err
+		}
 		lens, err := lenAcc.Result()
 		if err != nil {
 			return nil, err

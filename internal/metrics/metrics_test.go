@@ -156,7 +156,7 @@ func TestFeedPairs(t *testing.T) {
 	}
 	stop := errors.New("stop")
 	calls := 0
-	if err := FeedPairs(orig, anon, func(o, a *trace.Trace) error { calls++; return stop }); err != stop || calls != 1 {
+	if err := FeedPairs(orig, anon, func(o, a *trace.Trace) error { calls++; return stop }); !errors.Is(err, stop) || calls != 1 {
 		t.Fatalf("FeedPairs = %v after %d calls, want the first error after 1", err, calls)
 	}
 }
