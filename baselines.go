@@ -8,6 +8,7 @@ import (
 	"mobipriv/internal/baseline/geoind"
 	"mobipriv/internal/baseline/w4m"
 	"mobipriv/internal/core"
+	"mobipriv/internal/stream"
 )
 
 // The standard lineup compared throughout the evaluation, registered
@@ -83,24 +84,13 @@ func init() {
 }
 
 // Raw returns the identity mechanism: the dataset is published as-is
-// (the strawman every evaluation compares against). The input dataset
-// is returned without copying. It is streaming-capable (AsStreaming):
-// the online adapter republishes every update immediately. It is also
-// per-trace-capable (AsPerTrace) for store-native runs.
+// (the strawman every evaluation compares against). The published
+// dataset shares the input's traces. It is streaming-capable
+// (AsStreaming): the online adapter republishes every update
+// immediately. It is also per-trace-capable (AsPerTrace) for
+// store-native runs.
 func Raw() Mechanism {
-	return mechanismFunc{
-		name: "raw",
-		fn: func(ctx context.Context, d *Dataset) (*Result, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res := &Result{Dataset: d}
-			res.AddReport(StageReport{Stage: "raw"})
-			return res, nil
-		},
-		stream:   streamRaw(),
-		perTrace: perTraceRaw(),
-	}
+	return perTraceMechanism("raw", "raw", perTraceRaw(), stream.Passthrough{}.New)
 }
 
 // Promesse returns the smoothing-only mechanism (the paper's PROMESSE
@@ -112,20 +102,8 @@ func Raw() Mechanism {
 func Promesse(epsilon float64) Mechanism { return promesse(epsilon, -1, 0) }
 
 func promesse(epsilon, trim, window float64) Mechanism {
-	return mechanismFunc{
-		name: fmt.Sprintf("promesse(epsilon=%g)", epsilon),
-		fn: func(ctx context.Context, d *Dataset) (*Result, error) {
-			out, rep, err := core.SmoothDatasetCtx(ctx, d, core.Config{Epsilon: epsilon, Trim: trim})
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Dataset: out}
-			res.AddReport(StageReport{Stage: "smooth", Dropped: rep.Dropped})
-			return res, nil
-		},
-		stream:   streamPromesse(epsilon, window),
-		perTrace: perTracePromesse(epsilon, trim),
-	}
+	return perTraceMechanism(fmt.Sprintf("promesse(epsilon=%g)", epsilon), "smooth",
+		perTracePromesse(epsilon, trim), stream.Promesse{Epsilon: epsilon, Window: window}.New)
 }
 
 // GeoI returns the geo-indistinguishability baseline (planar Laplace
@@ -134,22 +112,12 @@ func promesse(epsilon, trim, window float64) Mechanism {
 // from (seed, user), so output is deterministic for a seed regardless
 // of the Runner's worker count. It is streaming-capable (AsStreaming)
 // with byte-identical output: the online adapter derives the same
-// per-user noise streams.
+// per-user noise streams, and its Factory (not New) gives a user who is
+// flushed or evicted and comes back a fresh noise stream instead of
+// replaying the first one.
 func GeoI(epsilon float64, seed int64) Mechanism {
-	return mechanismFunc{
-		name: fmt.Sprintf("geoi(epsilon=%g)", epsilon),
-		fn: func(ctx context.Context, d *Dataset) (*Result, error) {
-			out, err := geoind.PerturbDatasetCtx(ctx, d, geoind.Config{Epsilon: epsilon, Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Dataset: out}
-			res.AddReport(StageReport{Stage: "geoi"})
-			return res, nil
-		},
-		stream:   streamGeoI(epsilon, seed),
-		perTrace: perTraceGeoI(epsilon, seed),
-	}
+	return perTraceMechanism(fmt.Sprintf("geoi(epsilon=%g)", epsilon), "geoi",
+		perTraceGeoI(epsilon, seed), stream.GeoI{Epsilon: epsilon, Seed: seed}.Factory())
 }
 
 // W4M returns the Wait4Me (k,δ)-anonymity baseline (Abul, Bonchi &
@@ -182,13 +150,14 @@ func (m w4mMechanism) Apply(ctx context.Context, d *Dataset) (*Result, error) {
 	return res, nil
 }
 
-// The built-in per-trace functions mirror exactly what the batch Apply
-// does to each individual trace, which is what makes store-native runs
-// (Runner.RunStore) Load-identical to the in-memory path. w4m stays
-// batch-only — (k,δ)-aggregation needs every trace at once — and so
-// does any pipeline containing the mix-zone stage; a zone-free,
-// prefix-free pipeline composes its stages' per-trace forms instead
-// (see pipelineMechanism.PerTrace).
+// The built-in per-trace functions are the whole of raw, promesse and
+// geoi: batch Apply fans them out (perTraceMechanism) and
+// Runner.RunStore streams them over a store, so the two paths publish
+// the same traces by construction. w4m stays batch-only —
+// (k,δ)-aggregation needs every trace at once — and so does any
+// pipeline containing the mix-zone stage; a zone-free, prefix-free
+// pipeline composes its stages' per-trace forms instead (see
+// pipelineMechanism.PerTrace).
 
 func perTraceRaw() PerTraceFunc {
 	return func(ctx context.Context, tr *Trace) (*Trace, error) {
@@ -207,7 +176,7 @@ func perTracePromesse(epsilon, trim float64) PerTraceFunc {
 		}
 		out, err := core.Smooth(tr, cfg)
 		if err != nil {
-			// The same drops SmoothDatasetCtx reports as Dropped.
+			// Too short to anonymize: withheld, and reported as Dropped.
 			if errors.Is(err, core.ErrTraceTooShort) || errors.Is(err, core.ErrZeroDuration) {
 				return nil, nil
 			}
@@ -223,8 +192,8 @@ func perTraceGeoI(epsilon float64, seed int64) PerTraceFunc {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Same per-(seed, user) RNG derivation as PerturbDatasetCtx, so
-		// the noise stream is identical to the batch run.
+		// The per-(seed, user) RNG derivation the streaming adapter
+		// shares, so both publish the same noise stream.
 		m, err := geoind.NewForUser(cfg, tr.User)
 		if err != nil {
 			return nil, err

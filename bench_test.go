@@ -20,9 +20,7 @@ import (
 	"time"
 
 	"mobipriv"
-	"mobipriv/internal/baseline/geoind"
 	"mobipriv/internal/baseline/w4m"
-	"mobipriv/internal/core"
 	"mobipriv/internal/mixzone"
 	"mobipriv/internal/obs"
 	otrace "mobipriv/internal/obs/trace"
@@ -64,12 +62,13 @@ func BenchmarkPipeline(b *testing.B) {
 // BenchmarkSpeedSmoothing measures step 1 alone.
 func BenchmarkSpeedSmoothing(b *testing.B) {
 	d := benchDataset(b)
-	cfg := core.DefaultConfig()
+	mech := mobipriv.Promesse(100)
+	ctx := context.Background()
 	points := float64(d.TotalPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SmoothDataset(d, cfg); err != nil {
+		if _, err := mech.Apply(ctx, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -315,11 +314,13 @@ func BenchmarkZoneDetection(b *testing.B) {
 // BenchmarkGeoI measures the planar Laplace baseline.
 func BenchmarkGeoI(b *testing.B) {
 	d := benchDataset(b)
+	mech := mobipriv.GeoI(0.01, 1)
+	ctx := context.Background()
 	points := float64(d.TotalPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := geoind.PerturbDataset(d, geoind.Config{Epsilon: 0.01, Seed: 1}); err != nil {
+		if _, err := mech.Apply(ctx, d); err != nil {
 			b.Fatal(err)
 		}
 	}

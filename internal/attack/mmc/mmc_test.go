@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mobipriv"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
@@ -176,11 +175,11 @@ func TestReidentifyRawVsSmoothed(t *testing.T) {
 	// extracts lie on the user's own route, which passes through her own
 	// home and workplace, so nearest-chain matching still succeeds. This
 	// is an honest negative result: stop hiding is not route hiding.
-	smoothed, _, err := core.SmoothDataset(test, core.DefaultConfig())
+	smoothed, err := mobipriv.Promesse(100).Apply(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Reidentify(smoothed, chains, ident, DefaultConfig(), 500)
+	sm, err := Reidentify(smoothed.Dataset, chains, ident, DefaultConfig(), 500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,13 @@
 // Lambert W function (branch −1), exactly as in the original paper. The
 // mechanism satisfies ε-geo-indistinguishability; its expected
 // displacement is 2/ε meters.
+//
+// The package works on one trace at a time: the root package's geoi
+// mechanism fans Perturb out over a dataset, with one NewForUser
+// mechanism per trace.
 package geoind
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -20,7 +23,6 @@ import (
 	"math/rand"
 
 	"mobipriv/internal/geo"
-	"mobipriv/internal/par"
 	"mobipriv/internal/rng"
 	"mobipriv/internal/trace"
 )
@@ -50,10 +52,11 @@ type Mechanism struct {
 }
 
 // NewForUser returns a mechanism whose noise stream is derived from
-// (cfg.Seed, user) exactly as PerturbDatasetCtx derives per-trace RNGs,
-// so feeding a user's observations through PerturbPoint one at a time
-// (in order) reproduces the batch output byte for byte. This is the
-// constructor the streaming adapter uses.
+// (cfg.Seed, user) alone, independent of any other trace, so feeding a
+// user's observations through PerturbPoint one at a time (in order)
+// reproduces Perturb on the whole trace byte for byte. Both the batch
+// mechanism (one mechanism per trace) and the streaming adapter build
+// their noise streams with it.
 func NewForUser(cfg Config, user string) (*Mechanism, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -148,46 +151,6 @@ func (m *Mechanism) Perturb(tr *trace.Trace) (*trace.Trace, error) {
 		return nil, fmt.Errorf("geoind: build perturbed trace: %w", err)
 	}
 	return out, nil
-}
-
-// PerturbDataset applies Perturb to every trace. Each trace is
-// perturbed with an independent RNG derived from (cfg.Seed, user), so
-// the output for a given seed does not depend on trace order or on the
-// worker count of PerturbDatasetCtx.
-func PerturbDataset(d *trace.Dataset, cfg Config) (*trace.Dataset, error) {
-	return PerturbDatasetCtx(context.Background(), d, cfg)
-}
-
-// PerturbDatasetCtx is PerturbDataset honoring context cancellation and
-// fanning the per-trace perturbation across the context's worker budget
-// (par.Workers). Per-trace seed derivation keeps the output identical
-// to the serial run.
-func PerturbDatasetCtx(ctx context.Context, d *trace.Dataset, cfg Config) (*trace.Dataset, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	traces := d.Traces()
-	out := make([]*trace.Trace, len(traces))
-	err := par.Map(ctx, len(traces), func(i int) error {
-		m, err := NewForUser(cfg, traces[i].User)
-		if err != nil {
-			return err
-		}
-		p, err := m.Perturb(traces[i])
-		if err != nil {
-			return err
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ds, err := trace.NewDataset(out)
-	if err != nil {
-		return nil, fmt.Errorf("geoind: assemble dataset: %w", err)
-	}
-	return ds, nil
 }
 
 // traceSeed derives an independent RNG seed for one trace from the

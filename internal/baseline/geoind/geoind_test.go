@@ -150,34 +150,6 @@ func TestPerturbPreservesTimesAndUser(t *testing.T) {
 	}
 }
 
-func TestPerturbDeterministicPerSeed(t *testing.T) {
-	tr := trace.MustNew("u", []trace.Point{
-		{Point: origin, Time: t0},
-		{Point: geo.Offset(origin, 50, 0), Time: t0.Add(time.Minute)},
-	})
-	d := trace.MustNewDataset([]*trace.Trace{tr})
-	a, err := PerturbDataset(d, Config{Epsilon: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PerturbDataset(d, Config{Epsilon: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Traces()[0].Points {
-		if !a.Traces()[0].Points[i].Point.Equal(b.Traces()[0].Points[i].Point) {
-			t.Fatal("same seed must give identical noise")
-		}
-	}
-	c, err := PerturbDataset(d, Config{Epsilon: 0.01, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Traces()[0].Points[0].Point.Equal(c.Traces()[0].Points[0].Point) {
-		t.Fatal("different seeds should differ")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := NewForUser(Config{Epsilon: eps}, "u"); err == nil {

@@ -206,73 +206,6 @@ func TestSmoothDefaultTrimIsEpsilon(t *testing.T) {
 	}
 }
 
-func TestSmoothDataset(t *testing.T) {
-	cfg := synth.DefaultCommuterConfig()
-	cfg.Users = 6
-	cfg.Sampling = time.Minute
-	g, err := synth.Commuters(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, rep, err := SmoothDataset(g.Dataset, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len()+len(rep.Dropped) != g.Dataset.Len() {
-		t.Fatalf("output %d + dropped %d != input %d", out.Len(), len(rep.Dropped), g.Dataset.Len())
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("smoothed dataset invalid: %v", err)
-	}
-	// The mechanism's invariants hold on every published trace: uniform
-	// time steps, and uniform arc-length spacing epsilon — which bounds
-	// every chord at epsilon, with chords shorter than epsilon only at
-	// path turns. (POI-attack effectiveness on whole datasets is measured
-	// by the attack-level integration tests.)
-	const epsilon = 100.0
-	for _, tr := range out.Traces() {
-		if tr.Len() < 3 {
-			continue
-		}
-		dt0 := tr.Points[1].Time.Sub(tr.Points[0].Time)
-		nearEps := 0
-		for i := 1; i < tr.Len(); i++ {
-			if i >= 2 {
-				dt := tr.Points[i].Time.Sub(tr.Points[i-1].Time)
-				if diff := dt - dt0; diff > time.Millisecond || diff < -time.Millisecond {
-					t.Fatalf("user %s: non-uniform time step at %d: %v vs %v", tr.User, i, dt, dt0)
-				}
-			}
-			chord := geo.Distance(tr.Points[i-1].Point, tr.Points[i].Point)
-			if chord > epsilon*1.01 {
-				t.Fatalf("user %s: chord %d = %v m exceeds epsilon", tr.User, i, chord)
-			}
-			if chord > epsilon*0.8 {
-				nearEps++
-			}
-		}
-		if frac := float64(nearEps) / float64(tr.Len()-1); frac < 0.6 {
-			t.Fatalf("user %s: only %.0f%% of chords near epsilon (curvy beyond plausibility)", tr.User, frac*100)
-		}
-	}
-}
-
-func TestSmoothDatasetDropsShortTraces(t *testing.T) {
-	long := stopGoTrace()
-	short := trace.MustNew("tiny", []trace.Point{
-		{Point: origin, Time: t0},
-		{Point: geo.Destination(origin, 90, 80), Time: t0.Add(time.Minute)},
-	})
-	d := trace.MustNewDataset([]*trace.Trace{long, short})
-	out, rep, err := SmoothDataset(d, Config{Epsilon: 100, Trim: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 || len(rep.Dropped) != 1 || rep.Dropped[0] != "tiny" {
-		t.Fatalf("out=%d dropped=%v", out.Len(), rep.Dropped)
-	}
-}
-
 func TestSmoothSpatialAccuracy(t *testing.T) {
 	// Original observations (except near trimmed ends) must lie close to
 	// the published geometry: smoothing does not displace the path.

@@ -9,7 +9,6 @@ import (
 	"mobipriv"
 	"mobipriv/internal/attack/mmc"
 	"mobipriv/internal/attack/semantic"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
@@ -47,7 +46,7 @@ func runE13(s Scale) (*Table, error) {
 		Title:   "Semantic venue attack: true-POI recall among top-k venues (commuter workload)",
 		Columns: []string{"publication", "recall@1", "recall@3", "recall@5", "random@5"},
 	}
-	smoothed, _, err := core.SmoothDataset(g.Dataset, core.DefaultConfig())
+	smoothed, err := smooth(g.Dataset, 100, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +137,7 @@ func runE14(s Scale) (*Table, error) {
 	}
 	table.AddRow("raw", fmt.Sprintf("%d/%d", raw.Correct, raw.Total), fmtF(raw.Rate))
 
-	smoothed, _, err := core.SmoothDataset(test, core.DefaultConfig())
+	smoothed, err := smooth(test, 100, -1)
 	if err != nil {
 		return nil, err
 	}

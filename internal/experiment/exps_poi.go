@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"mobipriv"
 	"mobipriv/internal/attack/poiattack"
 	"mobipriv/internal/baseline/geoind"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/mixzone"
@@ -78,7 +78,7 @@ func runE1(Scale) (*Table, error) {
 	}
 	table.AddRow("(a) original", fmtI(d.TotalPoints()), fmtI(s0), fmtI(p0), "-", "-")
 
-	smoothed, _, err := core.SmoothDataset(d, core.DefaultConfig())
+	smoothed, err := smooth(d, 100, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func runE3(s Scale) (*Table, error) {
 		Columns: []string{"epsilon (1/m)", "E[noise] (m)", "per-user recall", "per-user F1"},
 	}
 	for _, eps := range []float64{0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001} {
-		published, err := geoind.PerturbDataset(g.Dataset, geoind.Config{Epsilon: eps, Seed: 1})
+		published, err := mechanism{name: "geoi", mech: mobipriv.GeoI(eps, 1)}.apply(g.Dataset)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +200,7 @@ func runE6(s Scale) (*Table, error) {
 			"orig->pub med (m)", "orig->pub p95 (m)", "points kept"},
 	}
 	for _, eps := range []float64{20, 50, 100, 200, 500} {
-		published, _, err := core.SmoothDataset(g.Dataset, core.Config{Epsilon: eps, Trim: -1})
+		published, err := smooth(g.Dataset, eps, -1)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"mobipriv/internal/attack/poiattack"
 	"mobipriv/internal/attack/reident"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/mixzone"
@@ -182,7 +181,7 @@ func runE12(s Scale) (*Table, error) {
 	type variant struct {
 		name        string
 		smooth      bool
-		trim        float64 // passed to core.Config.Trim
+		trim        float64 // end trim passed to smooth
 		noSwap      bool
 		noSuppress  bool
 		smoothFirst bool // the rejected ordering: smooth before zone detection
@@ -206,7 +205,7 @@ func runE12(s Scale) (*Table, error) {
 		// Figure 1's presentation order would do.
 		zoneInput := g.Dataset
 		if v.smoothFirst {
-			sm, _, err := core.SmoothDataset(g.Dataset, core.Config{Epsilon: 100, Trim: v.trim})
+			sm, err := smooth(g.Dataset, 100, v.trim)
 			if err != nil {
 				return nil, err
 			}
@@ -218,7 +217,7 @@ func runE12(s Scale) (*Table, error) {
 		}
 		published := res.Dataset
 		if v.smooth && !v.smoothFirst {
-			sm, _, err := core.SmoothDataset(published, core.Config{Epsilon: 100, Trim: v.trim})
+			sm, err := smooth(published, 100, v.trim)
 			if err != nil {
 				return nil, err
 			}
@@ -240,7 +239,7 @@ func runE12(s Scale) (*Table, error) {
 		}
 		dist := "-"
 		if v.smooth {
-			sm, _, err := core.SmoothDataset(g.Dataset, core.Config{Epsilon: 100, Trim: v.trim})
+			sm, err := smooth(g.Dataset, 100, v.trim)
 			if err != nil {
 				return nil, err
 			}

@@ -74,3 +74,11 @@ func standardMechanisms() []mechanism {
 	}
 	return out
 }
+
+// smooth publishes d through the smoothing-only mechanism at spacing
+// epsilon in meters and end trim (negative: trim = epsilon), for the
+// experiments that sweep those two or smooth a dataset of their own.
+func smooth(d *trace.Dataset, epsilon, trim float64) (*trace.Dataset, error) {
+	m := mobipriv.Pipeline(mobipriv.SpeedSmooth{Epsilon: epsilon, Trim: trim})
+	return mechanism{name: "promesse", mech: m}.apply(d)
+}

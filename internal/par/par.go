@@ -66,27 +66,36 @@ func PeakAdd(current, peak *int64) {
 // returns the first error encountered (cancelling the remaining work).
 // fn must be safe to call concurrently and should write its result into
 // a caller-owned slot at its index; Map itself imposes no ordering, the
-// indexed slots do.
+// indexed slots do. Once ctx is cancelled Map returns ctx.Err(), on the
+// serial path as on the parallel one, even when every fn call that ran
+// returned nil.
 func Map(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
 	workers := Workers(ctx)
 	if workers > n {
 		workers = n
 	}
+	var err error
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
+		for i := 0; i < n && err == nil; i++ {
+			if err = ctx.Err(); err == nil {
+				err = fn(i)
 			}
 		}
-		return nil
+	} else {
+		err = mapParallel(ctx, n, workers, fn)
 	}
+	// Prefer the outer context's error so cancellation surfaces as
+	// context.Canceled rather than a wrapped worker error, or as nil
+	// from work that finished after the cancel.
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
+}
 
+// mapParallel is Map's pooled path: workers goroutines claim indices
+// from a shared counter until n is reached or the first error.
+func mapParallel(ctx context.Context, n, workers int, fn func(i int) error) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -125,10 +134,5 @@ func Map(ctx context.Context, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	// Prefer the outer context's error so cancellation surfaces as
-	// context.Canceled rather than a wrapped worker error.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	return firstErr
 }

@@ -70,3 +70,26 @@ func TestMapZeroItems(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMapCancelDuringLastItem pins that the serial and the parallel
+// path agree when ctx is cancelled while the last fn call runs: both
+// report the cancellation, whether that call then succeeds or fails.
+func TestMapCancelDuringLastItem(t *testing.T) {
+	const n = 4
+	for _, fnErr := range []error{nil, errors.New("boom")} {
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(WithWorkers(context.Background(), workers))
+			err := Map(ctx, n, func(i int) error {
+				if i == n-1 {
+					cancel()
+					return fnErr
+				}
+				return nil
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d, fn error %v: err = %v, want context.Canceled", workers, fnErr, err)
+			}
+		}
+	}
+}

@@ -160,7 +160,7 @@ func New(cfg Config) (*Server, error) {
 		IdleTTL:    cfg.TTL,
 		Sink:       s.sink,
 	}, func(user string) stream.Mechanism {
-		mech := stream.Mechanism(factory(user))
+		mech := factory(user)
 		if cfg.Pseudonym != "" {
 			mech = stream.Chain(mech, pseudo.New(user))
 		}

@@ -17,6 +17,11 @@ import (
 // are freshly built and owned by the callee. Under ScanOptions.NoCache
 // a trace's Points are usually the very buffer its blocks were decoded
 // into, not a copy; no other reader holds it.
+//
+// ScanTracesPaired calls it concurrently, from up to one goroutine per
+// original-store shard (then per anonymized-store shard, for the users
+// only that store holds). It is called at most once per user in a
+// scan, so calls for one user never overlap.
 type PairScanFunc func(orig, anon *trace.Trace) error
 
 // PairScanStats reports what a paired scan did: how many users were

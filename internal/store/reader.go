@@ -263,6 +263,11 @@ type ScanStats struct {
 // slice. A user split across several blocks (a streamed append) is
 // delivered in several calls. The slice may be shared with the block
 // cache: treat it as read-only and do not retain it.
+//
+// Scan calls it concurrently, from up to one goroutine per shard. The
+// calls for one user are serialised: shard pinning puts all of a
+// user's blocks in one shard, whose goroutine delivers them one after
+// another.
 type ScanFunc func(user string, pts []trace.Point) error
 
 // Scan streams matching block-runs to fn, fanning the store's shards

@@ -13,6 +13,10 @@ import (
 // TraceScanFunc receives one complete, validated trace assembled from
 // all of a user's blocks. The trace is freshly built and owned by the
 // callee.
+//
+// ScanTraces calls it concurrently, from up to one goroutine per
+// shard. It is called at most once per user in a scan, so calls for one
+// user never overlap.
 type TraceScanFunc func(tr *trace.Trace) error
 
 // partBlock addresses one block anywhere in the store: the segment's

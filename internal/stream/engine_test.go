@@ -251,6 +251,41 @@ func TestEngineRunAbortUnblocksPush(t *testing.T) {
 	}
 }
 
+// TestEngineRunAbortBeatsClose pins that a cancelled Run reports the
+// cancellation even when Close has also run: with the sink parked, the
+// run is cancelled and the engine closed before the sink returns, so
+// the shard then sees both its closed queue and the cancelled context.
+// Run must return context.Canceled whichever one the shard picks, on
+// one shard as on two.
+func TestEngineRunAbortBeatsClose(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		parked, release := make(chan struct{}, 1), make(chan struct{})
+		e, err := NewEngine(Config{Shards: shards, Sink: func([]Update) {
+			parked <- struct{}{}
+			<-release
+		}}, func(user string) Mechanism { return Passthrough{}.New(user) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		rctx, rcancel := context.WithCancel(context.Background())
+		runDone := make(chan error, 1)
+		go func() { runDone <- e.Run(rctx) }()
+		u := Update{User: "u", Point: line(1, 0, time.Second)[0]}
+		if err := e.Push(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+		<-parked
+		rcancel()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		if err := <-runDone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: Run = %v, want context.Canceled", shards, err)
+		}
+	}
+}
+
 func TestEngineFlushRestartsTraces(t *testing.T) {
 	var c collector
 	e, stop := startEngine(t, Config{Shards: 1, Sink: c.sink},

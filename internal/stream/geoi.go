@@ -15,9 +15,9 @@ import (
 // with zero latency and O(1) per-user state.
 //
 // The per-user noise stream is derived from (Seed, user) exactly as the
-// batch baseline derives per-trace RNGs, so replaying a recorded
-// dataset through the streaming engine yields output byte-identical to
-// geoind.PerturbDataset for the same seed.
+// batch baseline derives per-trace RNGs (geoind.NewForUser), so
+// replaying a recorded dataset through the streaming engine yields
+// output byte-identical to the batch geoi mechanism for the same seed.
 type GeoI struct {
 	// Epsilon is the privacy parameter in 1/meters. Must be positive.
 	Epsilon float64

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"mobipriv/internal/core"
 	"mobipriv/internal/mixzone"
 	"mobipriv/internal/rng"
 	"mobipriv/internal/trace"
@@ -176,11 +175,11 @@ func (s SpeedSmooth) StageName() string { return "smooth" }
 
 // Run implements Stage.
 func (s SpeedSmooth) Run(ctx context.Context, d *Dataset, res *Result) (*Dataset, error) {
-	smoothed, rep, err := core.SmoothDatasetCtx(ctx, d, core.Config{Epsilon: s.Epsilon, Trim: s.Trim})
+	smoothed, dropped, err := applyPerTrace(ctx, s.PerTrace(), d)
 	if err != nil {
 		return nil, err
 	}
-	res.AddReport(StageReport{Stage: s.StageName(), Dropped: rep.Dropped})
+	res.AddReport(StageReport{Stage: s.StageName(), Dropped: dropped})
 	return smoothed, nil
 }
 
@@ -270,7 +269,7 @@ type PerTraceStage interface {
 }
 
 // PerTrace implements PerTraceStage: smoothing is independent per
-// trace, with the same drops the batch stage reports.
+// trace, and Run is this function fanned out, drops included.
 func (s SpeedSmooth) PerTrace() PerTraceFunc {
 	return perTracePromesse(s.Epsilon, s.Trim)
 }

@@ -241,20 +241,41 @@ func TestSplitSpecs(t *testing.T) {
 // TestLineupMatchesHandWired asserts that FromSpec of each standard
 // lineup entry behaves exactly like a direct call into the underlying
 // packages — i.e. the registry adds spec parsing and defaults without
-// changing behavior. (For geoi, "direct" means PerturbDataset, whose
-// per-trace RNG derivation this PR introduced for worker-count
-// independence; the seed repo's shared-RNG serial stream is
-// intentionally not preserved.)
+// changing behavior. The promesse and geoi references are loops over
+// the single-trace packages, written here so they stay independent of
+// the root package's batch fan-out. (For geoi each trace gets its own
+// (seed, user) noise stream, for worker-count independence; the seed
+// repo's shared-RNG serial stream is intentionally not preserved.)
 func TestLineupMatchesHandWired(t *testing.T) {
 	g := commuterData(t, 10)
 	d := g.Dataset
 	ctx := context.Background()
 
+	// perTrace applies fn to every trace of d, withholding the traces
+	// it returns nil for.
+	perTrace := func(fn func(tr *trace.Trace) (*trace.Trace, error)) (*trace.Dataset, error) {
+		var out []*trace.Trace
+		for _, tr := range d.Traces() {
+			res, err := fn(tr)
+			if err != nil {
+				return nil, err
+			}
+			if res != nil {
+				out = append(out, res)
+			}
+		}
+		return trace.NewDataset(out)
+	}
 	handWired := map[string]func() (*trace.Dataset, error){
 		"raw": func() (*trace.Dataset, error) { return d, nil },
 		"promesse": func() (*trace.Dataset, error) {
-			out, _, err := core.SmoothDataset(d, core.DefaultConfig())
-			return out, err
+			return perTrace(func(tr *trace.Trace) (*trace.Trace, error) {
+				out, err := core.Smooth(tr, core.DefaultConfig())
+				if errors.Is(err, core.ErrTraceTooShort) || errors.Is(err, core.ErrZeroDuration) {
+					return nil, nil
+				}
+				return out, err
+			})
 		},
 		"pipeline": func() (*trace.Dataset, error) {
 			res, err := Pipeline(DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize()).Apply(ctx, d)
@@ -264,7 +285,13 @@ func TestLineupMatchesHandWired(t *testing.T) {
 			return res.Dataset, nil
 		},
 		"geoi(0.01)": func() (*trace.Dataset, error) {
-			return geoind.PerturbDataset(d, geoind.Config{Epsilon: 0.01, Seed: 1})
+			return perTrace(func(tr *trace.Trace) (*trace.Trace, error) {
+				m, err := geoind.NewForUser(geoind.Config{Epsilon: 0.01, Seed: 1}, tr.User)
+				if err != nil {
+					return nil, err
+				}
+				return m.Perturb(tr)
+			})
 		},
 		"w4m(k=4,delta=200)": func() (*trace.Dataset, error) {
 			res, err := w4m.Anonymize(d, w4m.DefaultConfig())

@@ -3,19 +3,31 @@ package mobipriv
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
 // TestParallelSmoothingDeterministic is the determinism contract of the
 // parallel runtime: smoothing a multi-trace dataset with any worker
-// count produces output identical to the serial path.
+// count produces output and stage reports identical to the serial path,
+// the dropped users and their order included.
 func TestParallelSmoothingDeterministic(t *testing.T) {
 	d := commuterData(t, 16).Dataset
+	traces := append([]*Trace{shortTrace("tiny-a"), shortTrace("zz-tiny")}, d.Traces()...)
+	d, err := NewDataset(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mech := MustFromSpec("promesse")
 	serial, err := NewRunner(WithWorkers(1)).Run(context.Background(), mech, d)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sd := serial.DroppedUsers()
+	if len(sd) == 0 {
+		t.Fatal("serial run dropped no user; the drop comparison would be vacuous")
 	}
 	for _, workers := range []int{2, 4, runtime.NumCPU(), 32} {
 		parallel, err := NewRunner(WithWorkers(workers)).Run(context.Background(), mech, d)
@@ -25,9 +37,11 @@ func TestParallelSmoothingDeterministic(t *testing.T) {
 		if !datasetsEqual(serial.Dataset, parallel.Dataset) {
 			t.Errorf("workers=%d: output differs from serial run", workers)
 		}
-		sd, pd := serial.DroppedUsers(), parallel.DroppedUsers()
-		if len(sd) != len(pd) {
-			t.Errorf("workers=%d: dropped %d users, serial dropped %d", workers, len(pd), len(sd))
+		if pd := parallel.DroppedUsers(); !slices.Equal(sd, pd) {
+			t.Errorf("workers=%d: dropped %v, serial dropped %v", workers, pd, sd)
+		}
+		if !reflect.DeepEqual(serial.Reports, parallel.Reports) {
+			t.Errorf("workers=%d: reports %+v, serial %+v", workers, parallel.Reports, serial.Reports)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func replayThroughEngine(t *testing.T, spec string, shards int, d *Dataset) map[
 			}
 			mu.Unlock()
 		},
-	}, func(user string) stream.Mechanism { return factory(user) })
+	}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
